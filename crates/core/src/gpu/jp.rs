@@ -92,7 +92,9 @@ impl IterationKernels for JpKernels {
             let chosen = dev.first_free_color(ctx, start, end, 0);
             ctx.write(cand, v, chosen);
         };
-        let mut launch = Launch::threads("jp-assign", items).wg_size(opts.wg_size);
+        let mut launch = Launch::threads("jp-assign", items)
+            .wg_size(opts.wg_size)
+            .independent_groups();
         launch.mode = opts.schedule.to_mode();
         gpu.launch(&kernel, launch);
     }
@@ -184,6 +186,7 @@ impl IterationKernels for JpKernels {
         };
         let mut launch = Launch::groups("jp-assign-wgv", items)
             .wg_size(opts.wg_size)
+            .independent_groups()
             .lds_words(lds::MASK0 + mask_words);
         launch.mode = match opts.schedule.to_mode() {
             ScheduleMode::WorkStealing { .. } => ScheduleMode::WorkStealing { chunk_items: 2 },

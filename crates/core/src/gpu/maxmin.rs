@@ -110,7 +110,9 @@ impl IterationKernels for MaxMinKernels {
             };
             ctx.write(cand, v, value);
         };
-        let mut launch = Launch::threads("maxmin-assign", items).wg_size(opts.wg_size);
+        let mut launch = Launch::threads("maxmin-assign", items)
+            .wg_size(opts.wg_size)
+            .independent_groups();
         launch.mode = opts.schedule.to_mode();
         gpu.launch(&kernel, launch);
     }
@@ -191,6 +193,7 @@ impl IterationKernels for MaxMinKernels {
         // comparable to the thread-per-vertex kernels.
         let mut launch = Launch::groups("maxmin-assign-wgv", items)
             .wg_size(opts.wg_size)
+            .independent_groups()
             .lds_words(lds::WORDS);
         launch.mode = match opts.schedule.to_mode() {
             ScheduleMode::WorkStealing { .. } => ScheduleMode::WorkStealing { chunk_items: 2 },

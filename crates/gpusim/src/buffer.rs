@@ -39,19 +39,37 @@ mod sealed {
         F64(Vec<f64>),
     }
 
+    impl Storage {
+        /// Store raw bits made by [`Stored::to_bits`] of this storage's
+        /// type at `idx`, which the caller has bounds checked.
+        pub fn set_bits(&mut self, idx: usize, bits: u64) {
+            match self {
+                Storage::U8(v) => v[idx] = bits as u8,
+                Storage::U32(v) => v[idx] = bits as u32,
+                Storage::I32(v) => v[idx] = bits as u32 as i32,
+                Storage::U64(v) => v[idx] = bits,
+                Storage::I64(v) => v[idx] = bits as i64,
+                Storage::F32(v) => v[idx] = f32::from_bits(bits as u32),
+                Storage::F64(v) => v[idx] = f64::from_bits(bits),
+            }
+        }
+    }
+
     /// Moves a typed vector in and out of [`Storage`].
     pub trait Stored: Sized {
         fn wrap(data: Vec<Self>) -> Storage;
         /// The vector, or `None` when `storage` holds another type.
         fn view(storage: &Storage) -> Option<&Vec<Self>>;
         fn view_mut(storage: &mut Storage) -> Option<&mut Vec<Self>>;
+        /// The value's bits, zero-extended; [`Storage::set_bits`] undoes it.
+        fn to_bits(self) -> u64;
     }
 }
 
 use sealed::{Storage, Stored};
 
 macro_rules! impl_device_scalar {
-    ($($ty:ty => $bytes:expr, $variant:ident),* $(,)?) => {
+    ($($ty:ty => $bytes:expr, $variant:ident, $bits:expr),* $(,)?) => {
         $(impl DeviceScalar for $ty {
             const BYTES: u64 = $bytes;
             const NAME: &'static str = stringify!($ty);
@@ -77,18 +95,24 @@ macro_rules! impl_device_scalar {
                     _ => None,
                 }
             }
+
+            #[inline]
+            fn to_bits(self) -> u64 {
+                let bits: fn($ty) -> u64 = $bits;
+                bits(self)
+            }
         })*
     };
 }
 
 impl_device_scalar! {
-    u8 => 1, U8,
-    u32 => 4, U32,
-    i32 => 4, I32,
-    u64 => 8, U64,
-    i64 => 8, I64,
-    f32 => 4, F32,
-    f64 => 8, F64,
+    u8 => 1, U8, u64::from,
+    u32 => 4, U32, u64::from,
+    i32 => 4, I32, |v| u64::from(v as u32),
+    u64 => 8, U64, |v| v,
+    i64 => 8, I64, |v| v as u64,
+    f32 => 4, F32, |v| u64::from(v.to_bits()),
+    f64 => 8, F64, f64::to_bits,
 }
 
 /// Integer scalars supporting device atomics.
@@ -190,6 +214,69 @@ impl BufferMap {
         let lo = if i == 0 { 0 } else { base };
         let hi = self.bases.get(i + 1).map_or(u64::MAX, |&(next, _)| next);
         Some((lo..hi, id))
+    }
+}
+
+/// Access bits of [`WriteLog::access`].
+const READ: u8 = 1;
+const WRITTEN: u8 = 2;
+
+/// One worker's global-memory traffic in a launch that declares
+/// independent groups ([`crate::Launch::independent_groups`]): its writes,
+/// held back until the launch ends, and which buffers it read and wrote.
+pub(crate) struct WriteLog {
+    /// `(buffer id, index, value bits)` in issue order.
+    writes: Vec<(u32, usize, u64)>,
+    /// `READ | WRITTEN` bits per buffer id.
+    access: Vec<u8>,
+}
+
+impl WriteLog {
+    pub(crate) fn new(num_buffers: usize) -> Self {
+        Self {
+            writes: Vec::new(),
+            access: vec![0; num_buffers],
+        }
+    }
+
+    /// Writes logged so far.
+    pub(crate) fn len(&self) -> usize {
+        self.writes.len()
+    }
+
+    /// Note a read of `buf`, which the caller has just loaded.
+    #[inline]
+    pub(crate) fn note_read<T>(&mut self, buf: &Buffer<T>) {
+        self.access[buf.id as usize] |= READ;
+    }
+
+    /// Log `buf[idx] = value`, faulting now as [`MemoryState::store`]
+    /// would.
+    #[inline]
+    #[track_caller]
+    pub(crate) fn write<T: DeviceScalar>(
+        &mut self,
+        mem: &MemoryState,
+        buf: &Buffer<T>,
+        idx: usize,
+        value: T,
+    ) {
+        mem.check_store(buf, idx);
+        self.access[buf.id as usize] |= WRITTEN;
+        self.writes.push((buf.id, idx, value.to_bits()));
+    }
+
+    /// Fold another worker's access bits into this log's.
+    pub(crate) fn merge_access(&mut self, other: &WriteLog) {
+        for (a, &b) in self.access.iter_mut().zip(&other.access) {
+            *a |= b;
+        }
+    }
+
+    /// The lowest buffer id both read and written.
+    pub(crate) fn read_and_written(&self) -> Option<u32> {
+        let id = self.access.iter().position(|&a| a == READ | WRITTEN)?;
+        Some(id as u32)
     }
 }
 
@@ -325,29 +412,34 @@ impl MemoryState {
     #[track_caller]
     pub(crate) fn load<T: DeviceScalar>(&self, buf: &Buffer<T>, idx: usize) -> T {
         let v = self.slot(buf);
-        *v.get(idx).unwrap_or_else(|| {
-            panic!(
-                "device memory fault: read {}[{}] out of bounds (len {})",
-                T::NAME,
-                idx,
-                buf.len
-            )
-        })
+        *v.get(idx)
+            .unwrap_or_else(|| fault::<T>("read", idx, buf.len))
     }
 
     #[track_caller]
     pub(crate) fn store<T: DeviceScalar>(&mut self, buf: &Buffer<T>, idx: usize, value: T) {
         let len = buf.len;
         let v = self.slot_mut(buf);
-        let cell = v.get_mut(idx).unwrap_or_else(|| {
-            panic!(
-                "device memory fault: write {}[{}] out of bounds (len {})",
-                T::NAME,
-                idx,
-                len
-            )
-        });
+        let cell = v
+            .get_mut(idx)
+            .unwrap_or_else(|| fault::<T>("write", idx, len));
         *cell = value;
+    }
+
+    /// Fail exactly as [`Self::store`] would if `buf[idx]` cannot be
+    /// written; a deferred write is checked here when the lane issues it.
+    #[track_caller]
+    pub(crate) fn check_store<T: DeviceScalar>(&self, buf: &Buffer<T>, idx: usize) {
+        if idx >= self.slot(buf).len() {
+            fault::<T>("write", idx, buf.len);
+        }
+    }
+
+    /// Apply the writes `range` of `log`, in order.
+    pub(crate) fn apply(&mut self, log: &WriteLog, range: Range<usize>) {
+        for &(id, idx, bits) in &log.writes[range] {
+            self.slots[id as usize].data.set_bits(idx, bits);
+        }
     }
 
     /// Read-modify-write returning the previous value. Lanes execute
@@ -362,18 +454,23 @@ impl MemoryState {
     ) -> T {
         let len = buf.len;
         let v = self.slot_mut(buf);
-        let cell = v.get_mut(idx).unwrap_or_else(|| {
-            panic!(
-                "device memory fault: atomic {}[{}] out of bounds (len {})",
-                T::NAME,
-                idx,
-                len
-            )
-        });
+        let cell = v
+            .get_mut(idx)
+            .unwrap_or_else(|| fault::<T>("atomic", idx, len));
         let old = *cell;
         *cell = f(old);
         old
     }
+}
+
+/// The simulator's GPU memory fault: `op` of `T[idx]` past a buffer of `len`.
+#[cold]
+#[track_caller]
+fn fault<T: DeviceScalar>(op: &str, idx: usize, len: usize) -> ! {
+    panic!(
+        "device memory fault: {op} {}[{idx}] out of bounds (len {len})",
+        T::NAME
+    )
 }
 
 #[cfg(test)]
@@ -476,6 +573,42 @@ mod tests {
         let b = mem.alloc(Vec::<u32>::new());
         assert!(b.is_empty());
         assert_eq!(mem.as_slice(&b), &[] as &[u32]);
+    }
+
+    #[test]
+    fn logged_writes_apply_every_type_bit_exactly() {
+        let mut mem = MemoryState::new();
+        let a = mem.alloc(vec![0u8; 2]);
+        let b = mem.alloc(vec![0i32; 2]);
+        let c = mem.alloc(vec![0i64; 2]);
+        let d = mem.alloc(vec![0f32; 2]);
+        let e = mem.alloc(vec![0f64; 2]);
+        let mut log = WriteLog::new(mem.num_buffers());
+        log.write(&mem, &a, 1, 250u8);
+        log.write(&mem, &b, 0, -7i32);
+        log.write(&mem, &c, 1, i64::MIN + 3);
+        log.write(&mem, &d, 0, -0.0f32);
+        log.write(&mem, &e, 1, f64::NAN);
+        log.write(&mem, &b, 0, -8i32);
+        // Nothing lands until the log is applied, and then in order.
+        assert_eq!(mem.as_slice(&b), &[0, 0]);
+        mem.apply(&log, 0..log.len());
+        assert_eq!(mem.as_slice(&a), &[0, 250]);
+        assert_eq!(mem.as_slice(&b), &[-8, 0]);
+        assert_eq!(mem.as_slice(&c), &[0, i64::MIN + 3]);
+        assert_eq!(mem.as_slice(&d)[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(mem.as_slice(&e)[1].to_bits(), f64::NAN.to_bits());
+        assert_eq!(log.read_and_written(), None);
+        log.note_read(&c);
+        assert_eq!(log.read_and_written(), Some(c.id));
+    }
+
+    #[test]
+    #[should_panic(expected = "device memory fault: write u32[2] out of bounds (len 2)")]
+    fn a_logged_write_faults_when_issued() {
+        let mut mem = MemoryState::new();
+        let b = mem.alloc(vec![0u32; 2]);
+        WriteLog::new(1).write(&mem, &b, 2, 1);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The device facade: buffer management, kernel launches, statistics.
 
+use std::sync::OnceLock;
+
 use crate::buffer::{Buffer, DeviceScalar, MemoryState};
 use crate::cache::L2Cache;
 use crate::config::DeviceConfig;
@@ -42,6 +44,9 @@ pub struct Gpu {
     sinks: Vec<SharedSink>,
     /// Device-wide launch sequence number (survives [`Gpu::reset_stats`]).
     launch_seq: u64,
+    /// Host threads a launch declaring independent groups may use:
+    /// [`host_threads`], or fewer in tests.
+    pub(crate) workers: usize,
 }
 
 impl Gpu {
@@ -57,6 +62,7 @@ impl Gpu {
             l2,
             sinks: Vec::new(),
             launch_seq: 0,
+            workers: host_threads(),
         }
     }
 
@@ -236,10 +242,13 @@ impl Gpu {
     }
 
     /// Everything a launch touches except the observer list, borrowed as
-    /// one `Send` value: what lets [`crate::MultiGpu::each_device`] run
-    /// unobserved devices on other host threads.
-    pub(crate) fn launch_view(&mut self) -> LaunchView<'_> {
-        self.split().0
+    /// one `Send` value whose launches use at most `workers` host threads:
+    /// what lets [`crate::MultiGpu::each_device`] run unobserved devices on
+    /// other host threads.
+    pub(crate) fn launch_view(&mut self, workers: usize) -> LaunchView<'_> {
+        let mut view = self.split().0;
+        view.workers = workers;
+        view
     }
 
     fn split(&mut self) -> (LaunchView<'_>, &[SharedSink]) {
@@ -249,6 +258,7 @@ impl Gpu {
             stats: &mut self.stats,
             l2: &mut self.l2,
             launch_seq: &mut self.launch_seq,
+            workers: self.workers,
         };
         (view, &self.sinks)
     }
@@ -297,6 +307,13 @@ impl Launcher for Gpu {
     }
 }
 
+/// Host threads the simulator may use at once: `available_parallelism()`,
+/// read once per process (the query costs several system calls).
+pub(crate) fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// A device's configuration, memory, statistics, L2 and launch sequence,
 /// borrowed together without its observers. Observers are `Rc`-shared and
 /// stay behind on the owning thread; everything here is `Send`.
@@ -306,6 +323,8 @@ pub(crate) struct LaunchView<'a> {
     stats: &'a mut DeviceStats,
     l2: &'a mut Option<L2Cache>,
     launch_seq: &'a mut u64,
+    /// Host threads a launch declaring independent groups may use.
+    workers: usize,
 }
 
 impl LaunchView<'_> {
@@ -318,7 +337,15 @@ impl LaunchView<'_> {
         probe: Option<&Probe<'_>>,
     ) -> DeviceStats {
         *self.launch_seq += 1;
-        let stats = run_launch(kernel, launch, self.cfg, self.mem, self.l2, probe);
+        let stats = run_launch(
+            kernel,
+            launch,
+            self.cfg,
+            self.mem,
+            self.l2,
+            probe,
+            self.workers,
+        );
         self.stats.absorb(&launch.name, &stats);
         stats
     }

@@ -4,8 +4,10 @@ use crate::lane::LaneCtx;
 
 /// A device kernel: the body executed by every lane of a dispatch.
 ///
-/// Implemented for any `Fn(&mut LaneCtx)`, so kernels are usually closures
-/// capturing the buffers they operate on:
+/// Implemented for any `Fn(&mut LaneCtx) + Sync`, so kernels are usually
+/// closures capturing the (`Copy`) buffer handles they operate on. `Sync`
+/// lets the workgroups of a launch that declares
+/// [`Launch::independent_groups`] run on several host threads at once:
 ///
 /// ```
 /// # use gc_gpusim::{Gpu, DeviceConfig, Launch};
@@ -21,14 +23,14 @@ use crate::lane::LaneCtx;
 /// );
 /// assert_eq!(gpu.read_back(data), vec![2, 4, 6, 8]);
 /// ```
-pub trait Kernel {
+pub trait Kernel: Sync {
     /// Execute one lane. Under `ThreadPerItem` grids, `ctx.item()` is the
     /// lane's item; under `WorkgroupPerItem` grids every lane of a group
     /// shares `ctx.item()` and cooperates via `ctx.local_id()`.
     fn run(&self, ctx: &mut LaneCtx);
 }
 
-impl<F: Fn(&mut LaneCtx)> Kernel for F {
+impl<F: Fn(&mut LaneCtx) + Sync> Kernel for F {
     fn run(&self, ctx: &mut LaneCtx) {
         self(ctx)
     }
@@ -78,6 +80,12 @@ pub struct Launch {
     pub lds_words: usize,
     /// Scheduling policy.
     pub mode: ScheduleMode,
+    /// The kernel's promise that its workgroups do not depend on each
+    /// other: no lane reads a buffer the launch writes, and no lane issues
+    /// a global atomic. The simulator may then run the workgroups on
+    /// several host threads; results are identical either way, and a
+    /// broken promise panics (see [`crate::lane`]).
+    pub independent_groups: bool,
 }
 
 impl Launch {
@@ -91,6 +99,7 @@ impl Launch {
             wg_size: 256,
             lds_words: 0,
             mode: ScheduleMode::StaticRoundRobin,
+            independent_groups: false,
         }
     }
 
@@ -103,6 +112,7 @@ impl Launch {
             wg_size: 64,
             lds_words: 64,
             mode: ScheduleMode::DynamicHw,
+            independent_groups: false,
         }
     }
 
@@ -127,6 +137,13 @@ impl Launch {
     /// Use work stealing with the given chunk size.
     pub fn stealing(mut self, chunk_items: usize) -> Self {
         self.mode = ScheduleMode::WorkStealing { chunk_items };
+        self
+    }
+
+    /// Declare that the kernel's workgroups are independent (see
+    /// [`Launch::independent_groups`]).
+    pub fn independent_groups(mut self) -> Self {
+        self.independent_groups = true;
         self
     }
 }

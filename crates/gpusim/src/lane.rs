@@ -22,9 +22,23 @@
 //!   is deterministic for a given dispatch; algorithms must be correct under
 //!   *any* interleaving (as on real hardware), and the simulator realizes one
 //!   legal one.
+//!
+//! A launch that declares [`crate::Launch::independent_groups`] promises
+//! more: no lane reads a buffer the launch writes, and no lane issues a
+//! global atomic. Its workgroups then run on several host threads, and
+//! global memory behaves as if every workgroup ran alone:
+//!
+//! * every global read sees memory as it was when the launch started;
+//! * every global write lands after the launch, in workgroup order, so of
+//!   two workgroups writing one address the later one wins, exactly as in
+//!   sequential execution.
+//!
+//! LDS and barriers behave as above. The promise is checked in every build:
+//! a read of a written buffer or a global atomic panics, naming the kernel
+//! and the buffer.
 
-use crate::buffer::MemoryState;
 use crate::buffer::{AtomicScalar, Buffer, DeviceScalar};
+use crate::buffer::{MemoryState, WriteLog};
 use crate::trace::{Op, Recorder};
 
 /// Identity of the executing lane within the dispatch.
@@ -47,9 +61,33 @@ pub struct LaneIds {
     pub num_items: usize,
 }
 
+/// Where a lane's global memory traffic goes.
+pub(crate) enum LaneMem<'a> {
+    /// Every access acts on device memory at once.
+    Direct(&'a mut MemoryState),
+    /// A launch declaring independent groups: reads see launch-start
+    /// memory and writes go to the worker's log.
+    Deferred {
+        mem: &'a MemoryState,
+        log: &'a mut WriteLog,
+        kernel: &'a str,
+    },
+}
+
+impl LaneMem<'_> {
+    /// The same destination, borrowed for one lane.
+    #[inline]
+    pub(crate) fn reborrow(&mut self) -> LaneMem<'_> {
+        match self {
+            LaneMem::Direct(mem) => LaneMem::Direct(mem),
+            LaneMem::Deferred { mem, log, kernel } => LaneMem::Deferred { mem, log, kernel },
+        }
+    }
+}
+
 /// Kernel-side handle to the device: memory access, LDS, and identity.
 pub struct LaneCtx<'a> {
-    pub(crate) mem: &'a mut MemoryState,
+    pub(crate) mem: LaneMem<'a>,
     pub(crate) lds: &'a mut [u32],
     pub(crate) rec: &'a mut Recorder,
     pub(crate) ids: LaneIds,
@@ -97,7 +135,8 @@ impl<'a> LaneCtx<'a> {
 
     /// True for the lane with the highest local id in the workgroup. Under
     /// the sequential execution contract this lane observes every other
-    /// lane's LDS/global writes, so it is the canonical finalizer for
+    /// lane's LDS writes (and their global writes, unless the launch
+    /// declares independent groups), so it is the canonical finalizer for
     /// workgroup reductions.
     #[inline]
     pub fn is_last_in_group(&self) -> bool {
@@ -115,7 +154,14 @@ impl<'a> LaneCtx<'a> {
     #[inline]
     #[track_caller]
     pub fn read<T: DeviceScalar>(&mut self, buf: Buffer<T>, idx: usize) -> T {
-        let value = self.mem.load(&buf, idx);
+        let value = match &mut self.mem {
+            LaneMem::Direct(mem) => mem.load(&buf, idx),
+            LaneMem::Deferred { mem, log, .. } => {
+                let value = mem.load(&buf, idx);
+                log.note_read(&buf);
+                value
+            }
+        };
         self.rec.record(Op::GlobalRead {
             addr: buf.addr_of(idx),
         });
@@ -126,16 +172,33 @@ impl<'a> LaneCtx<'a> {
     #[inline]
     #[track_caller]
     pub fn write<T: DeviceScalar>(&mut self, buf: Buffer<T>, idx: usize, value: T) {
-        self.mem.store(&buf, idx, value);
+        match &mut self.mem {
+            LaneMem::Direct(mem) => mem.store(&buf, idx, value),
+            LaneMem::Deferred { mem, log, .. } => log.write(mem, &buf, idx, value),
+        }
         self.rec.record(Op::GlobalWrite {
             addr: buf.addr_of(idx),
         });
     }
 
+    /// Functional read-modify-write of a global atomic.
+    #[inline]
+    #[track_caller]
+    fn rmw<T: DeviceScalar>(&mut self, buf: Buffer<T>, idx: usize, f: impl FnOnce(T) -> T) -> T {
+        match &mut self.mem {
+            LaneMem::Direct(mem) => mem.rmw(&buf, idx, f),
+            LaneMem::Deferred { mem, kernel, .. } => panic!(
+                "kernel '{kernel}' declares independent groups but issues a global atomic \
+                 on buffer '{}'",
+                mem.buffer_name(buf.id)
+            ),
+        }
+    }
+
     #[inline]
     #[track_caller]
     fn atomic<T: DeviceScalar>(&mut self, buf: Buffer<T>, idx: usize, f: impl FnOnce(T) -> T) -> T {
-        let old = self.mem.rmw(&buf, idx, f);
+        let old = self.rmw(buf, idx, f);
         self.rec.record(Op::GlobalAtomic {
             addr: buf.addr_of(idx),
         });
@@ -160,7 +223,7 @@ impl<'a> LaneCtx<'a> {
         idx: usize,
         value: T,
     ) -> T {
-        let old = self.mem.rmw(&buf, idx, |old| old.wrapping_add(value));
+        let old = self.rmw(buf, idx, |old| old.wrapping_add(value));
         self.rec.record(Op::GlobalAtomicAgg {
             addr: buf.addr_of(idx),
         });
@@ -243,7 +306,7 @@ mod tests {
         let mut rec = Recorder::new(4);
         rec.begin_lane(0, 3);
         let r = f(&mut LaneCtx {
-            mem,
+            mem: LaneMem::Direct(mem),
             lds: &mut lds,
             rec: &mut rec,
             ids: ids(),

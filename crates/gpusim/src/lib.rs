@@ -47,12 +47,15 @@
 //!
 //! Kernels are plain Rust closures over [`LaneCtx`]. Lanes of a workgroup
 //! execute sequentially in increasing local-id order, and workgroups in a
-//! deterministic event order, so every run is exactly reproducible. See
-//! [`lane`] for the rules this implies for barriers and LDS reductions.
+//! deterministic event order, so every run is exactly reproducible. A launch
+//! that declares [`Launch::independent_groups`] runs its workgroups on
+//! several host threads with the same results. See [`lane`] for the rules
+//! this implies for barriers, LDS reductions and declared launches.
 
 pub mod buffer;
 mod cache;
 pub mod config;
+mod exec;
 pub mod gpu;
 pub mod host;
 pub mod kernel;

@@ -474,6 +474,19 @@ impl LaunchTally {
         *self.atomic_lines.entry(addr / cacheline_bytes).or_insert(0) += lanes;
     }
 
+    /// Add the counts of another tally of the same launch (another worker's
+    /// share of its workgroups). Every count is a sum, so the result does
+    /// not depend on how the workgroups were shared out.
+    pub fn merge(&mut self, other: &LaunchTally) {
+        for (a, b) in self.per_buffer.iter_mut().zip(&other.per_buffer) {
+            a.add(b);
+        }
+        for (&line, &ops) in &other.atomic_lines {
+            *self.atomic_lines.entry(line).or_insert(0) += ops;
+        }
+        self.lane_occupancy.merge(&other.lane_occupancy);
+    }
+
     /// Reduce to the name-keyed per-buffer map (zero rows dropped; buffers
     /// sharing a name are merged).
     pub fn per_buffer_by_name(&self, mem: &MemoryState) -> BTreeMap<String, BufferMemStats> {

@@ -30,6 +30,10 @@
 //! profiler is attached to any device; then it runs them in device order
 //! on the calling thread, because the `Rc`-shared sinks cannot cross
 //! threads and observed runs keep their event order and live host timing.
+//! A device running beside others gets `max(1, P / devices)` workers for
+//! its launches that declare independent groups (`P` is
+//! `available_parallelism()`), so the two levels together never run more
+//! than `P` simulation threads at once.
 //! Both orders give the same results. Devices share no memory, counters
 //! or L2, every kernel captures only its own device's buffer handles, and
 //! the superstep clock reads each device's cycles only after the work has
@@ -41,7 +45,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::DeviceConfig;
-use crate::gpu::{Gpu, LaunchView, Launcher};
+use crate::gpu::{host_threads, Gpu, LaunchView, Launcher};
 
 /// Inter-device link parameters. Defaults model a PCIe-class interconnect
 /// relative to the simulated 800 MHz device clock: ~1 µs latency per
@@ -277,9 +281,10 @@ impl MultiGpu {
     /// Run `work(p, device)` once for every device `p`. With no profiler
     /// attached anywhere, the devices are split into contiguous chunks run
     /// on `min(devices, available_parallelism())` scoped host threads (the
-    /// calling thread takes the first chunk). With a profiler attached,
-    /// they run in device order on the calling thread. Either way each
-    /// device ends in the same state, since devices share nothing.
+    /// calling thread takes the first chunk), each device's launches with
+    /// `max(1, available_parallelism() / devices)` workers. With a profiler
+    /// attached, they run in device order on the calling thread. Either
+    /// way each device ends in the same state, since devices share nothing.
     pub fn each_device<F>(&mut self, work: F)
     where
         F: Fn(usize, &mut dyn Launcher) + Sync,
@@ -290,12 +295,15 @@ impl MultiGpu {
             }
             return;
         }
-        let threads = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(self.devices.len());
-        let chunk = self.devices.len().div_ceil(threads);
-        let mut views: Vec<LaunchView<'_>> =
-            self.devices.iter_mut().map(Gpu::launch_view).collect();
+        let devices = self.devices.len();
+        let threads = host_threads().min(devices);
+        let chunk = devices.div_ceil(threads);
+        let workers = (host_threads() / devices).max(1);
+        let mut views: Vec<LaunchView<'_>> = self
+            .devices
+            .iter_mut()
+            .map(|gpu| gpu.launch_view(workers))
+            .collect();
         let work = &work;
         let run = move |first: usize, views: &mut [LaunchView<'_>]| {
             for (i, view) in views.iter_mut().enumerate() {
@@ -571,6 +579,48 @@ mod tests {
                 assert_eq!(mg.device_ref(p).stats().kernels_launched, 1);
             }
         }
+    }
+
+    #[test]
+    fn nested_workers_stay_within_the_host_budget_and_change_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        use std::sync::Mutex;
+
+        let items = 3 * crate::exec::PARALLEL_MIN_LANES + 1;
+        // Lanes running at once, across every device and worker.
+        let (active, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mark = |buf: crate::Buffer<u32>, p: usize| {
+            let (active, peak) = (&active, &peak);
+            move |ctx: &mut LaneCtx| {
+                peak.fetch_max(active.fetch_add(1, SeqCst) + 1, SeqCst);
+                ctx.alu(1 + (ctx.item() % 3) as u32);
+                ctx.write(buf, ctx.item(), (ctx.item() * (p + 1)) as u32);
+                active.fetch_sub(1, SeqCst);
+            }
+        };
+        for n in [1, 2, 3, 5] {
+            let mut mg = MultiGpu::new(n, DeviceConfig::small_test(), LinkConfig::default());
+            let bufs: Vec<_> = (0..n)
+                .map(|p| mg.device(p).alloc_filled(items, 0u32))
+                .collect();
+            let records = Mutex::new(vec![None; n]);
+            mg.each_device(|p, gpu| {
+                let launch = Launch::threads("mark", items).wg_size(4);
+                let stats = gpu.launch(&mark(bufs[p], p), launch.independent_groups());
+                records.lock().unwrap()[p] = Some(stats);
+            });
+            let records = records.into_inner().unwrap();
+            for (p, &buf) in bufs.iter().enumerate() {
+                // A lone device running the launch in order on one thread.
+                let mut lone = Gpu::new(DeviceConfig::small_test());
+                assert_eq!(lone.alloc_filled(items, 0u32).id, buf.id);
+                let launch = Launch::threads("mark", items).wg_size(4);
+                let stats = lone.launch(&mark(buf, p), launch);
+                assert_eq!(records[p].as_ref(), Some(&stats), "{n} devices, device {p}");
+                assert_eq!(mg.device_ref(p).read_back(buf), lone.read_back(buf));
+            }
+        }
+        assert!(peak.into_inner() <= host_threads());
     }
 
     #[test]

@@ -296,7 +296,7 @@ mod tests {
 
     use super::*;
     use crate::buffer::{Buffer, MemoryState};
-    use crate::lane::LaneCtx;
+    use crate::lane::{LaneCtx, LaneMem};
     use crate::metrics::LaunchTally;
     use crate::workgroup::{WgExecutor, WgParams, WgWork};
 
@@ -549,7 +549,15 @@ mod tests {
         let mut l2 = L2Cache::from_config(cfg);
         let mut outcome = WgOutcome::default();
         for (group, &work) in works.iter().enumerate() {
-            let o = executor.run(&kernel, &mut mem, &mut l2, &params, group, work, &mut tally);
+            let o = executor.run(
+                &kernel,
+                LaneMem::Direct(&mut mem),
+                &mut l2,
+                &params,
+                group,
+                work,
+                &mut tally,
+            );
             outcome.service_cycles += o.service_cycles;
             outcome.waves += o.waves;
             outcome.cost.add(&o.cost);

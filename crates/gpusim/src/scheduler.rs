@@ -20,14 +20,18 @@ use std::collections::BinaryHeap;
 use crate::buffer::MemoryState;
 use crate::cache::L2Cache;
 use crate::config::DeviceConfig;
+use crate::exec::execute;
 use crate::kernel::{GridStyle, Kernel, Launch, ScheduleMode};
-use crate::metrics::{DeviceStats, Histogram, LaunchTally};
+use crate::metrics::{DeviceStats, Histogram};
 use crate::profile::Probe;
-use crate::workgroup::{WgExecutor, WgParams, WgWork};
+use crate::workgroup::{WgOutcome, WgParams, WgWork};
 
-/// Run one launch to completion, returning its record. When a `probe`
-/// is attached it receives one event per workgroup retire (with the CU id
-/// and CU-local cycle span) and per work-steal queue pop.
+/// Run one launch to completion, returning its record. The workgroups run
+/// first ([`execute`], on up to `workers` host threads when the launch
+/// declares independent groups); their outcomes are then placed on CUs in
+/// task order. When a `probe` is attached it receives one event per
+/// workgroup retire (with the CU id and CU-local cycle span) and per
+/// work-steal queue pop.
 pub(crate) fn run_launch(
     kernel: &dyn Kernel,
     launch: &Launch,
@@ -35,6 +39,7 @@ pub(crate) fn run_launch(
     mem: &mut MemoryState,
     l2: &mut Option<L2Cache>,
     probe: Option<&Probe<'_>>,
+    workers: usize,
 ) -> DeviceStats {
     validate_launch(launch, cfg);
 
@@ -48,12 +53,9 @@ pub(crate) fn run_launch(
         num_items: launch.items,
         occupancy,
     };
+    let (outcomes, tally) = execute(kernel, launch, &params, &tasks, mem, l2, workers);
 
-    let mut executor = WgExecutor::new(cfg.wavefront_size);
     let mut busy = vec![0u64; cfg.num_cus];
-    // Buffers cannot be allocated mid-launch, so one address→buffer snapshot
-    // serves the whole launch.
-    let mut tally = LaunchTally::new(mem);
     let mut wg_duration = Histogram::new();
     let mut steal_depth = Histogram::new();
     let mut stats = DeviceStats {
@@ -61,46 +63,44 @@ pub(crate) fn run_launch(
         launch_cycles: cfg.kernel_launch_cycles,
         ..Default::default()
     };
+    let placed = tasks.iter().zip(&outcomes).enumerate();
 
     match launch.mode {
         ScheduleMode::StaticRoundRobin => {
-            for (i, &work) in tasks.iter().enumerate() {
+            for (i, (&work, outcome)) in placed {
                 let cu = i % cfg.num_cus;
-                let outcome = executor.run(kernel, mem, l2, &params, i, work, &mut tally);
                 let t0 = busy[cu];
                 busy[cu] += cfg.wg_dispatch_cycles + outcome.service_cycles;
                 wg_duration.record(outcome.service_cycles);
                 if let Some(p) = probe {
-                    p.workgroup_retire(cu, i, t0, busy[cu], &outcome, work);
+                    p.workgroup_retire(cu, i, t0, busy[cu], outcome, work);
                 }
-                absorb(&mut stats, &outcome);
+                absorb(&mut stats, outcome);
             }
         }
         ScheduleMode::DynamicHw => {
             let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
                 (0..cfg.num_cus).map(|cu| Reverse((0u64, cu))).collect();
-            for (i, &work) in tasks.iter().enumerate() {
+            for (i, (&work, outcome)) in placed {
                 let Reverse((t0, cu)) = heap.pop().expect("heap holds one entry per CU");
-                let outcome = executor.run(kernel, mem, l2, &params, i, work, &mut tally);
                 let t = t0 + cfg.wg_dispatch_cycles + outcome.service_cycles;
                 busy[cu] += cfg.wg_dispatch_cycles + outcome.service_cycles;
                 wg_duration.record(outcome.service_cycles);
                 if let Some(p) = probe {
-                    p.workgroup_retire(cu, i, t0, t, &outcome, work);
+                    p.workgroup_retire(cu, i, t0, t, outcome, work);
                 }
-                absorb(&mut stats, &outcome);
+                absorb(&mut stats, outcome);
                 heap.push(Reverse((t, cu)));
             }
         }
         ScheduleMode::WorkStealing { .. } => {
             let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
                 (0..cfg.num_cus).map(|cu| Reverse((0u64, cu))).collect();
-            for (i, &work) in tasks.iter().enumerate() {
+            for (i, (&work, outcome)) in placed {
                 let Reverse((t0, cu)) = heap.pop().expect("heap holds one entry per CU");
                 // Depth seen by the popping workgroup: chunks still queued,
                 // including the one it takes.
                 steal_depth.record((tasks.len() - i) as u64);
-                let outcome = executor.run(kernel, mem, l2, &params, i, work, &mut tally);
                 let t = t0 + cfg.steal_pop_cycles + outcome.service_cycles;
                 busy[cu] += cfg.steal_pop_cycles + outcome.service_cycles;
                 wg_duration.record(outcome.service_cycles);
@@ -109,9 +109,9 @@ pub(crate) fn run_launch(
                         WgWork::Range { start, end } | WgWork::Items { start, end } => (start, end),
                     };
                     p.steal_pop(cu, t0, Some(chunk));
-                    p.workgroup_retire(cu, i, t0, t, &outcome, work);
+                    p.workgroup_retire(cu, i, t0, t, outcome, work);
                 }
-                absorb(&mut stats, &outcome);
+                absorb(&mut stats, outcome);
                 stats.steal_pops += 1;
                 heap.push(Reverse((t, cu)));
             }
@@ -139,7 +139,7 @@ pub(crate) fn run_launch(
     stats
 }
 
-fn absorb(stats: &mut DeviceStats, outcome: &crate::workgroup::WgOutcome) {
+fn absorb(stats: &mut DeviceStats, outcome: &WgOutcome) {
     stats.workgroups += 1;
     stats.waves += outcome.waves;
     stats.steps += outcome.cost.steps;
@@ -256,6 +256,7 @@ mod tests {
                 &mut mem,
                 &mut None,
                 None,
+                1,
             );
             assert_eq!(mem.as_slice(&buf), &[1u32; 37], "mode {mode:?}");
             assert!(stats.total_cycles > cfg.kernel_launch_cycles);
@@ -273,6 +274,7 @@ mod tests {
             &mut mem,
             &mut None,
             None,
+            1,
         );
         assert_eq!(stats.total_cycles, cfg.kernel_launch_cycles);
         assert_eq!(stats.workgroups, 0);
@@ -295,7 +297,7 @@ mod tests {
             ctx.write(buf, i, 1);
         };
         let launch = Launch::threads("skewed", 16).wg_size(4);
-        let stats = run_launch(&kernel, &launch, &cfg, &mut mem, &mut None, None);
+        let stats = run_launch(&kernel, &launch, &cfg, &mut mem, &mut None, None, 1);
         assert!(
             stats.imbalance_factor() > 1.2,
             "imbalance {}",
@@ -317,7 +319,7 @@ mod tests {
             ctx.write(buf2, i, 1);
         };
         let dyn_launch = Launch::threads("skewed", 16).wg_size(4).dynamic();
-        let dyn_stats = run_launch(&kernel2, &dyn_launch, &cfg, &mut mem2, &mut None, None);
+        let dyn_stats = run_launch(&kernel2, &dyn_launch, &cfg, &mut mem2, &mut None, None, 1);
         assert!(dyn_stats.total_cycles <= stats.total_cycles);
     }
 
@@ -334,6 +336,7 @@ mod tests {
             &mut mem,
             &mut None,
             None,
+            1,
         );
         assert_eq!(mem.as_slice(&buf), &[1u32; 40]);
         // 3 chunks (16 + 16 + 8), each sliced into wg_size-4 instances.
@@ -352,6 +355,7 @@ mod tests {
             &mut mem,
             &mut None,
             None,
+            1,
         );
         // 8 chunks + one drain pop per CU.
         assert_eq!(stats.steal_pops, 8 + cfg.num_cus as u64);
@@ -377,7 +381,7 @@ mod tests {
             };
             let mut launch = Launch::threads("skew", 64).wg_size(4);
             launch.mode = mode;
-            run_launch(&kernel, &launch, &cfg, &mut mem, &mut None, None)
+            run_launch(&kernel, &launch, &cfg, &mut mem, &mut None, None, 1)
         };
         let rr = run(ScheduleMode::StaticRoundRobin);
         let ws = run(ScheduleMode::WorkStealing { chunk_items: 4 });
@@ -419,6 +423,7 @@ mod tests {
             &mut mem,
             &mut None,
             None,
+            1,
         );
     }
 
@@ -432,7 +437,7 @@ mod tests {
             ctx.atomic_add(out, ctx.item(), 1);
         };
         let launch = Launch::groups("coop", 5).wg_size(4).lds_words(0);
-        let stats = run_launch(&kernel, &launch, &cfg, &mut mem, &mut None, None);
+        let stats = run_launch(&kernel, &launch, &cfg, &mut mem, &mut None, None, 1);
         assert_eq!(mem.as_slice(&out), &[4u32; 5]);
         assert_eq!(stats.workgroups, 5);
     }

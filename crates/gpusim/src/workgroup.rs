@@ -1,10 +1,9 @@
 //! Workgroup execution: functional run of the lanes plus cost folding.
 
-use crate::buffer::MemoryState;
 use crate::cache::L2Cache;
 use crate::config::DeviceConfig;
 use crate::kernel::Kernel;
-use crate::lane::{LaneCtx, LaneIds};
+use crate::lane::{LaneCtx, LaneIds, LaneMem};
 use crate::metrics::LaunchTally;
 use crate::trace::Recorder;
 use crate::wave::{fold_wave_segment, SegmentCost};
@@ -62,7 +61,7 @@ impl WgExecutor {
     pub fn run(
         &mut self,
         kernel: &dyn Kernel,
-        mem: &mut MemoryState,
+        mut mem: LaneMem<'_>,
         l2: &mut Option<L2Cache>,
         params: &WgParams<'_>,
         group_id: usize,
@@ -80,7 +79,7 @@ impl WgExecutor {
                     let e = (s + params.wg_size).min(end);
                     let inst = self.exec_instance(
                         kernel,
-                        mem,
+                        &mut mem,
                         l2,
                         params,
                         group_id,
@@ -96,7 +95,7 @@ impl WgExecutor {
                 for item in start..end {
                     let inst = self.exec_instance(
                         kernel,
-                        mem,
+                        &mut mem,
                         l2,
                         params,
                         group_id,
@@ -123,7 +122,7 @@ impl WgExecutor {
     fn exec_instance(
         &mut self,
         kernel: &dyn Kernel,
-        mem: &mut MemoryState,
+        mem: &mut LaneMem<'_>,
         l2: &mut Option<L2Cache>,
         params: &WgParams<'_>,
         group_id: usize,
@@ -149,7 +148,7 @@ impl WgExecutor {
                 let set = if barriers == 0 { 0 } else { wave };
                 self.rec.begin_lane(set, lane);
                 let mut ctx = LaneCtx {
-                    mem,
+                    mem: mem.reborrow(),
                     lds: &mut self.lds,
                     rec: &mut self.rec,
                     ids: LaneIds {
@@ -292,7 +291,7 @@ mod tests {
         // Two workgroups of 4 plus a partial one of 2.
         let o1 = ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             0,
@@ -301,7 +300,7 @@ mod tests {
         );
         let _ = ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             1,
@@ -310,7 +309,7 @@ mod tests {
         );
         let o3 = ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             2,
@@ -341,7 +340,7 @@ mod tests {
         let p = params(&cfg, 4, 0, 3);
         let o = ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             0,
@@ -373,7 +372,7 @@ mod tests {
         let p = params(&cfg, 4, 1, 1);
         let o = ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             0,
@@ -403,7 +402,7 @@ mod tests {
         let p = params(&cfg, 4, 1, 2);
         ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             0,
@@ -429,7 +428,7 @@ mod tests {
         let p = params(&cfg, 4, 0, 4);
         ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             0,
@@ -456,7 +455,7 @@ mod tests {
         let p = params(&cfg, 8, 0, 8);
         ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             0,
@@ -478,7 +477,7 @@ mod tests {
         let p = params(&cfg, 8, 0, 8);
         let o = ex.run(
             &kernel,
-            &mut mem,
+            LaneMem::Direct(&mut mem),
             &mut None,
             &p,
             0,
