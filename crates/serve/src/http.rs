@@ -6,6 +6,13 @@
 //! (reused across connections, see `Server::serve`), and the "async" part
 //! of gc-serve is the job lifecycle (submit → id → poll/wait), not the
 //! socket handling. Each side sends a message in one write.
+//!
+//! Bodies are read here as bytes only. The JSON endpoints parse them with
+//! the crate's typed reader (`json.rs`, through `JobSpec::from_json` and
+//! `MutationRequest::from_json`): one pass that fills the typed fields,
+//! accepts only integers that fit each number field, and skips unknown
+//! keys with a bounded loop, so a deeply nested body is a 400, never a
+//! stack overflow.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

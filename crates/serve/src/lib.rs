@@ -45,6 +45,7 @@
 
 pub mod cache;
 pub mod http;
+mod json;
 pub mod load;
 pub mod queue;
 pub mod server;

@@ -35,6 +35,7 @@ use gc_graph::CsrGraph;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::http::{read_request, write_response, Request};
+use crate::json;
 use crate::queue::DrrQueue;
 use crate::spec::{self, JobSpec, MutationRequest, ResolvedJob};
 
@@ -462,8 +463,7 @@ impl Shared {
     /// serve.
     fn mutate(&self, fp: u64, req: &MutationRequest) -> Result<String, (u16, String)> {
         fn fail(status: u16, msg: &str) -> (u16, String) {
-            let quoted = serde_json::to_string(msg).expect("strings serialize");
-            (status, format!("{{\"error\":{quoted}}}"))
+            (status, error_body(msg))
         }
         if req.job.dataset.is_some()
             || req.job.scale.is_some()
@@ -513,7 +513,7 @@ impl Shared {
                 "no cached result for this graph and config — submit the job first",
             ));
         };
-        let prev: RunReport = serde_json::from_str(&prev_json)
+        let prev_colors = json::report_colors(&prev_json)
             .map_err(|e| fail(500, &format!("cached report failed to parse: {e}")))?;
         let out = req
             .batch()
@@ -523,7 +523,7 @@ impl Shared {
             let _slot = self.slots.acquire();
             resolved
                 .job
-                .execute_incremental(&out.graph, &prev.colors, &out.dirty)
+                .execute_incremental(&out.graph, &prev_colors, &out.dirty)
                 .map_err(|e| fail(400, &e))?
         };
         let json = serde_json::to_string(&report).expect("reports serialize");
@@ -732,6 +732,12 @@ impl Shared {
     }
 }
 
+/// A `{"error":…}` body carrying `msg` as a JSON string.
+fn error_body(msg: &str) -> String {
+    let quoted = serde_json::to_string(msg).expect("strings serialize");
+    format!("{{\"error\":{quoted}}}")
+}
+
 /// Build the response envelope. `report` must already be JSON; it is the
 /// last field so cached bytes pass through verbatim.
 fn envelope(id: u64, tenant: &str, fingerprint: u64, cached: bool, report: &str) -> String {
@@ -774,14 +780,8 @@ fn handle_conn(shared: &Shared, stream: &mut TcpStream, addr: SocketAddr) {
         // Anything else sent bytes that are not HTTP; answer with a
         // structured 400 instead of silently dropping the connection.
         Err(e) => {
-            let msg =
-                serde_json::to_string(&format!("bad request: {e}")).expect("strings serialize");
-            let _ = write_response(
-                stream,
-                400,
-                "application/json",
-                format!("{{\"error\":{msg}}}").as_bytes(),
-            );
+            let body = error_body(&format!("bad request: {e}"));
+            let _ = write_response(stream, 400, "application/json", body.as_bytes());
             return;
         }
     };
@@ -799,15 +799,12 @@ fn route(shared: &Shared, req: &Request) -> (u16, &'static str, String) {
     const JSON: &str = "application/json";
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/jobs") => {
-            let spec: JobSpec = match serde_json::from_slice(&req.body) {
+            let spec = match JobSpec::from_json(&req.body) {
                 Ok(s) => s,
-                Err(e) => return (400, JSON, format!("{{\"error\":\"bad job spec: {e}\"}}")),
+                Err(e) => return (400, JSON, error_body(&format!("bad job spec: {e}"))),
             };
             match shared.submit(&spec) {
-                Err(e) => {
-                    let msg = serde_json::to_string(&e).expect("strings serialize");
-                    (400, JSON, format!("{{\"error\":{msg}}}"))
-                }
+                Err(e) => (400, JSON, error_body(&e)),
                 Ok(id) if req.query_param("wait").is_some_and(|v| v != "0") => {
                     let body = shared.wait(id).expect("a submitted job is registered");
                     (200, JSON, body)
@@ -848,15 +845,9 @@ fn route(shared: &Shared, req: &Request) -> (u16, &'static str, String) {
                     "{\"error\":\"bad graph fingerprint (expected hex)\"}".into(),
                 );
             };
-            let mutation: MutationRequest = match serde_json::from_slice(&req.body) {
+            let mutation = match MutationRequest::from_json(&req.body) {
                 Ok(m) => m,
-                Err(e) => {
-                    return (
-                        400,
-                        JSON,
-                        format!("{{\"error\":\"bad mutation request: {e}\"}}"),
-                    )
-                }
+                Err(e) => return (400, JSON, error_body(&format!("bad mutation request: {e}"))),
             };
             match shared.mutate(fp, &mutation) {
                 Ok(body) => (200, JSON, body),
@@ -1381,6 +1372,46 @@ mod tests {
         assert!(report.contains("multi2"), "{report}");
         assert!(report.contains("incremental"), "{report}");
         assert!(body.contains("\"dirty\":2"), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn mutations_read_the_colors_the_full_report_parse_reads() {
+        // Cached reports of every device algorithm, single- and
+        // multi-device, and of a mutation's recolor: the colors a mutation
+        // recolors from are the report's `colors` field.
+        let mut server = Server::new(test_config()).unwrap();
+        let mut multi = inline_square("t");
+        multi.devices = Some(2);
+        multi.partition = Some("block".into());
+        let mut jp = inline_square("t");
+        jp.algorithm = Some("jp".into());
+        let big = inline_maxmin(&gc_graph::generators::erdos_renyi(90, 250, 5));
+        let mut reports = Vec::new();
+        for spec in [
+            inline_maxmin(&square_graph()),
+            jp,
+            big,
+            multi,
+            inline_square("t"),
+        ] {
+            let id = server.submit(&spec).unwrap();
+            drain(&server);
+            reports.push(report_bytes(&server.wait(id).unwrap()).unwrap().to_string());
+        }
+        let fp = square_graph().fingerprint();
+        let body = server
+            .mutate(fp, &mutation(&[(0, 3)], &[], knobs()))
+            .unwrap();
+        reports.push(report_bytes(&body).unwrap().to_string());
+        for report in &reports {
+            let full: RunReport = serde_json::from_str(report).unwrap();
+            assert_eq!(
+                json::report_colors(report).unwrap(),
+                full.colors,
+                "{report}"
+            );
+        }
         server.shutdown();
     }
 }

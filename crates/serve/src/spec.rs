@@ -9,20 +9,35 @@
 //! job accepts and rejects exactly what the CLI does, with identical error
 //! wording (flag spelling included, so server errors point at the
 //! equivalent CLI flag).
+//!
+//! Request bodies are read by [`JobSpec::from_json`] and
+//! [`MutationRequest::from_json`], which pull each field straight out of
+//! the bytes with the crate's typed JSON reader (`json.rs`). A missing or `null`
+//! field takes its default, unknown keys are skipped (their nesting costs
+//! no stack), and a field named twice is refused. Every number field takes
+//! only a JSON integer that fits its type: `"wg": 64.5`, `"wg": -64`,
+//! `"chunk": 1e2` and a `"seed"` beyond `u64` are refused with an error
+//! naming the field, and a `"seed"` above 2^53 runs exactly that seed, as
+//! `gc-color --seed` does. The structs keep `Serialize` for clients that
+//! write specs.
 
 use std::sync::Arc;
 
 use gc_bench::cli::{self, ColorArgs};
 use gc_core::ColorJob;
 use gc_graph::CsrGraph;
-use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use serde::Deserialize;
+use serde::Serialize;
 
 use crate::cache::CacheKey;
+use crate::json::{Field, Reader};
 
 /// A coloring job as submitted over HTTP. Every field is optional except
 /// the graph source: exactly one of `dataset` or (`row_ptr` + `col_idx`)
 /// must be present. Knob fields mirror the `gc-color` flags one-to-one.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
+#[cfg_attr(test, derive(Deserialize))]
 pub struct JobSpec {
     /// Tenant the job is billed to for fair scheduling ("default" if empty).
     #[serde(default)]
@@ -125,7 +140,8 @@ impl ResolvedJob {
 /// *which* cached result to recolor (same config-hash discipline as the
 /// cache key) and must not name a graph source — the graph comes from the
 /// fingerprint in the path.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
+#[cfg_attr(test, derive(Deserialize))]
 pub struct MutationRequest {
     /// Undirected edges to insert, as `[u, v]` pairs.
     #[serde(default)]
@@ -138,7 +154,100 @@ pub struct MutationRequest {
     pub job: JobSpec,
 }
 
+impl JobSpec {
+    /// The JSON fields of a spec, in declaration order.
+    const FIELDS: [Field<Self>; 18] = [
+        ("tenant", |s, r| {
+            r.nullable(Reader::string)
+                .map(|v| s.tenant = v.unwrap_or_default())
+        }),
+        ("dataset", |s, r| {
+            r.nullable(Reader::string).map(|v| s.dataset = v)
+        }),
+        ("scale", |s, r| {
+            r.nullable(Reader::string).map(|v| s.scale = v)
+        }),
+        ("row_ptr", |s, r| {
+            r.nullable(|r| r.array(Reader::uint)).map(|v| s.row_ptr = v)
+        }),
+        ("col_idx", |s, r| {
+            r.nullable(|r| r.array(Reader::uint)).map(|v| s.col_idx = v)
+        }),
+        ("algorithm", |s, r| {
+            r.nullable(Reader::string).map(|v| s.algorithm = v)
+        }),
+        ("optimized", |s, r| {
+            r.nullable(Reader::bool)
+                .map(|v| s.optimized = v.unwrap_or_default())
+        }),
+        ("frontier", |s, r| {
+            r.nullable(Reader::bool)
+                .map(|v| s.frontier = v.unwrap_or_default())
+        }),
+        ("devices", |s, r| {
+            r.nullable(Reader::uint).map(|v| s.devices = v)
+        }),
+        ("partition", |s, r| {
+            r.nullable(Reader::string).map(|v| s.partition = v)
+        }),
+        ("no_overlap", |s, r| {
+            r.nullable(Reader::bool)
+                .map(|v| s.no_overlap = v.unwrap_or_default())
+        }),
+        ("wg", |s, r| r.nullable(Reader::uint).map(|v| s.wg = v)),
+        ("chunk", |s, r| {
+            r.nullable(Reader::uint).map(|v| s.chunk = v)
+        }),
+        ("hybrid_threshold", |s, r| {
+            r.nullable(Reader::uint).map(|v| s.hybrid_threshold = v)
+        }),
+        ("link_latency", |s, r| {
+            r.nullable(Reader::uint).map(|v| s.link_latency = v)
+        }),
+        ("link_bandwidth", |s, r| {
+            r.nullable(Reader::uint).map(|v| s.link_bandwidth = v)
+        }),
+        ("device", |s, r| {
+            r.nullable(Reader::string).map(|v| s.device = v)
+        }),
+        ("seed", |s, r| r.nullable(Reader::uint).map(|v| s.seed = v)),
+    ];
+
+    /// Parse a `POST /jobs` body (see the module docs for the rules).
+    pub fn from_json(body: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(body);
+        let spec = Self::read(&mut r)?;
+        r.end()?;
+        Ok(spec)
+    }
+
+    fn read(r: &mut Reader) -> Result<Self, String> {
+        let mut spec = Self::default();
+        r.object(&mut spec, &Self::FIELDS)?;
+        Ok(spec)
+    }
+}
+
 impl MutationRequest {
+    const FIELDS: [Field<Self>; 3] = [
+        ("insert", |m, r| edges(r).map(|v| m.insert = v)),
+        ("delete", |m, r| edges(r).map(|v| m.delete = v)),
+        ("job", |m, r| {
+            r.nullable(JobSpec::read)
+                .map(|v| m.job = v.unwrap_or_default())
+        }),
+    ];
+
+    /// Parse a `POST /graphs/<fingerprint>/edges` body (the rules of
+    /// [`JobSpec::from_json`]; `job` is read by them too).
+    pub fn from_json(body: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(body);
+        let mut m = Self::default();
+        r.object(&mut m, &Self::FIELDS)?;
+        r.end()?;
+        Ok(m)
+    }
+
     /// The edge lists as a [`gc_graph::MutationBatch`].
     pub fn batch(&self) -> gc_graph::MutationBatch {
         gc_graph::MutationBatch {
@@ -146,6 +255,12 @@ impl MutationRequest {
             delete: self.delete.clone(),
         }
     }
+}
+
+/// An edge list: `[u, v]` pairs, `null` for none.
+fn edges(r: &mut Reader) -> Result<Vec<(u32, u32)>, String> {
+    r.nullable(|r| r.array(|r| r.pair(Reader::uint, Reader::uint)))
+        .map(Option::unwrap_or_default)
 }
 
 /// Resolve and validate a spec for a server on gc-color's default device
@@ -508,13 +623,13 @@ mod tests {
         // Partial bodies rely on field defaults — an insert-only request
         // deserializes with an empty delete list, and `{}` is the empty
         // batch.
-        let req: MutationRequest = serde_json::from_str(r#"{"insert":[[3,4]]}"#).unwrap();
+        let req = MutationRequest::from_json(br#"{"insert":[[3,4]]}"#).unwrap();
         assert_eq!(req.batch().insert, vec![(3, 4)]);
         assert!(req.delete.is_empty() && req.job.dataset.is_none());
         let empty: gc_graph::MutationBatch = serde_json::from_str("{}").unwrap();
         assert!(empty.is_empty());
-        let full: MutationRequest = serde_json::from_str(
-            r#"{"insert":[[0,9]],"delete":[[1,2]],"job":{"algorithm":"firstfit","devices":2,"partition":"block"}}"#,
+        let full = MutationRequest::from_json(
+            br#"{"insert":[[0,9]],"delete":[[1,2]],"job":{"algorithm":"firstfit","devices":2,"partition":"block"}}"#,
         )
         .unwrap();
         assert_eq!(full.job.algorithm.as_deref(), Some("firstfit"));
@@ -527,13 +642,282 @@ mod tests {
         s.tenant = "team-a".into();
         s.wg = Some(128);
         let json = serde_json::to_string(&s).unwrap();
-        let back: JobSpec = serde_json::from_str(&json).unwrap();
+        let back = JobSpec::from_json(json.as_bytes()).unwrap();
         assert_eq!(back.tenant, "team-a");
         assert_eq!(back.dataset.as_deref(), Some("road-net"));
         assert_eq!(back.wg, Some(128));
         // Sparse JSON relies on field defaults.
-        let sparse: JobSpec = serde_json::from_str(r#"{"dataset":"road-net"}"#).unwrap();
+        let sparse = JobSpec::from_json(br#"{"dataset":"road-net"}"#).unwrap();
         assert_eq!(sparse.dataset.as_deref(), Some("road-net"));
         assert!(sparse.algorithm.is_none() && !sparse.optimized);
+    }
+
+    /// The derive's reading of `body`, the oracle `from_json` must match.
+    fn oracle<T: Deserialize>(body: &str) -> T {
+        serde_json::from_str(body).unwrap_or_else(|e| panic!("{body}: {e}"))
+    }
+
+    fn same_spec(body: &str) {
+        let ours = JobSpec::from_json(body.as_bytes()).unwrap_or_else(|e| panic!("{body}: {e}"));
+        assert_eq!(
+            format!("{ours:?}"),
+            format!("{:?}", oracle::<JobSpec>(body)),
+            "{body}"
+        );
+    }
+
+    fn same_mutation(body: &str) {
+        let ours =
+            MutationRequest::from_json(body.as_bytes()).unwrap_or_else(|e| panic!("{body}: {e}"));
+        assert_eq!(
+            format!("{ours:?}"),
+            format!("{:?}", oracle::<MutationRequest>(body)),
+            "{body}"
+        );
+    }
+
+    #[test]
+    fn integer_fields_are_exact() {
+        let spec = |body: &str| JobSpec::from_json(body.as_bytes());
+        let s = spec(r#"{"dataset":"road-net","seed":9007199254740993}"#).unwrap();
+        assert_eq!(s.seed, Some(9_007_199_254_740_993));
+        let s = spec(r#"{"seed":18446744073709551615,"link_latency":0}"#).unwrap();
+        assert_eq!((s.seed, s.link_latency), (Some(u64::MAX), Some(0)));
+        for (body, field) in [
+            (r#"{"wg":64.5}"#, "wg"),
+            (r#"{"wg":-64}"#, "wg"),
+            (r#"{"wg":1e30}"#, "wg"),
+            (r#"{"wg":64.0}"#, "wg"),
+            (r#"{"chunk":1e2}"#, "chunk"),
+            (r#"{"devices":"2"}"#, "devices"),
+            (r#"{"seed":18446744073709551616}"#, "seed"),
+            (r#"{"row_ptr":[0,4294967296]}"#, "row_ptr"),
+            (r#"{"optimized":1}"#, "optimized"),
+        ] {
+            let err = spec(body).unwrap_err();
+            assert!(
+                err.starts_with(&format!("field '{field}': ")),
+                "{body}: {err}"
+            );
+        }
+        let err = MutationRequest::from_json(br#"{"insert":[[-3,4]]}"#).unwrap_err();
+        assert_eq!(
+            err,
+            "field 'insert': expected an unsigned integer at byte 12"
+        );
+        let err = MutationRequest::from_json(br#"{"job":{"wg":64.5}}"#).unwrap_err();
+        assert!(err.starts_with("field 'job': field 'wg': "), "{err}");
+        let err = MutationRequest::from_json(br#"{"delete":[[1,2,3]]}"#).unwrap_err();
+        assert!(err.starts_with("field 'delete': expected ']'"), "{err}");
+    }
+
+    #[test]
+    fn a_served_seed_above_2_pow_53_is_the_cli_seed() {
+        let body = br#"{"dataset":"road-net","scale":"tiny","seed":9007199254740993}"#;
+        let served = resolve(&JobSpec::from_json(body).unwrap()).unwrap();
+        let argv = [
+            "--dataset",
+            "road-net",
+            "--scale",
+            "tiny",
+            "--seed",
+            "9007199254740993",
+        ];
+        let cli::Parsed::Run(args) = cli::parse_color_args(argv.map(String::from)).unwrap() else {
+            panic!("not a run");
+        };
+        assert_eq!(args.seed, 9_007_199_254_740_993);
+        assert_eq!(
+            format!("{:?}", served.job),
+            format!("{:?}", cli::color_job(&args).unwrap())
+        );
+        assert_eq!(served.config_desc, cli::config_description(&args).unwrap());
+        assert!(served.config_desc.contains("seed=9007199254740993"));
+    }
+
+    #[test]
+    fn malformed_bodies_are_refused() {
+        for body in [
+            "",
+            "null",
+            "[]",
+            r#"{"wg":64,"wg":64}"#,
+            r#"{"dataset":"road-net"} {}"#,
+            r#"{"dataset":"road-net",}"#,
+            r#"{"dataset":"road-net""#,
+        ] {
+            assert!(JobSpec::from_json(body.as_bytes()).is_err(), "{body}");
+        }
+        let nested = format!(r#"{{"x":{}{}}}"#, "[".repeat(40), "]".repeat(40));
+        assert!(JobSpec::from_json(nested.as_bytes()).is_ok());
+        let deep = "[".repeat(100_000);
+        assert!(JobSpec::from_json(deep.as_bytes()).is_err());
+        let deep_key = format!(r#"{{"x":{deep}"#);
+        let err = MutationRequest::from_json(deep_key.as_bytes()).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        let err = JobSpec::from_json(br#"{"wg":64,"wg":64}"#).unwrap_err();
+        assert_eq!(err, "duplicate field 'wg' at byte 14");
+    }
+
+    #[test]
+    fn from_json_reads_valid_bodies_as_the_derive_does() {
+        for body in [
+            "{}",
+            " \t\r\n{ } \n",
+            r#"{"tenant":"a","dataset":"road-net","scale":"tiny","row_ptr":[0,1,2],
+                "col_idx":[1,0],"algorithm":"jp","optimized":true,"frontier":true,
+                "devices":2,"partition":"block","no_overlap":true,"wg":128,"chunk":4,
+                "hybrid_threshold":32,"link_latency":100,"link_bandwidth":8,
+                "device":"warp32","seed":7}"#,
+            r#"{"tenant":null,"dataset":null,"scale":null,"row_ptr":null,"col_idx":null,
+                "algorithm":null,"optimized":null,"frontier":null,"devices":null,
+                "partition":null,"no_overlap":null,"wg":null,"chunk":null,
+                "hybrid_threshold":null,"link_latency":null,"link_bandwidth":null,
+                "device":null,"seed":null}"#,
+            r#"{"seed":3,"wg":64,"tenant":"z","dataset":"road-net","optimized":false}"#,
+            r#"{"x":[1,-2.5e3,{"y":[null,true,false,"s"]},[]],"dataset":"d","z":{},"w":"\""}"#,
+            "{\"tenant\"\t:\n\"a\" ,\r\"row_ptr\" : [ 0 , 1 ]\x0c,\"col_idx\":[ ]}",
+            r#"{"tenant":"q\"b\\s\/n\nt\tr\rb\bf\fu\u00e9\u4e2d\ud83d","d\u0061taset":"x"}"#,
+            r#"{"tenant":"é中","algorithm":""}"#,
+        ] {
+            same_spec(body);
+        }
+        for body in [
+            "{}",
+            r#"{"insert":[[0,9],[5,60]],"delete":[[1,2]]}"#,
+            r#"{"insert":null,"delete":[],"job":null}"#,
+            r#"{"job":{"tenant":"t","algorithm":"firstfit","devices":2},"x":[[0]],"insert":[ [ 3 , 4 ] ]}"#,
+        ] {
+            same_mutation(body);
+        }
+    }
+
+    /// A random JSON value for an unknown key: nested arrays and objects.
+    fn junk(rng: &mut gc_graph::rng::SplitMix64, depth: usize) -> String {
+        match rng.below(if depth > 3 { 4 } else { 6 }) {
+            0 => "null".into(),
+            1 => format!("{}", rng.below(1000) as f64 / 8.0 - 60.0),
+            2 => r#""j\u006bnk""#.into(),
+            3 => "true".into(),
+            4 => format!("[{},{}]", junk(rng, depth + 1), junk(rng, depth + 1)),
+            _ => format!(r#"{{"k":{},"colors":[{}]}}"#, junk(rng, depth + 1), depth),
+        }
+    }
+
+    /// `fields` as an object in random order, with random whitespace and
+    /// unknown keys between them.
+    fn scramble(rng: &mut gc_graph::rng::SplitMix64, mut fields: Vec<(String, String)>) -> String {
+        if rng.below(3) == 0 {
+            let junk = junk(rng, 0);
+            fields.push(("unknown".into(), junk));
+        }
+        rng.shuffle(&mut fields);
+        let ws = |rng: &mut gc_graph::rng::SplitMix64| {
+            [" ", "", "\n", "\t", "\r\n ", "\x0c", ""][rng.below(7)].to_string()
+        };
+        let items: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("{}\"{k}\"{}:{}{v}{}", ws(rng), ws(rng), ws(rng), ws(rng)))
+            .collect();
+        format!("{}{{{}}}{}", ws(rng), items.join(","), ws(rng))
+    }
+
+    /// A random spec over every field, as `(key, json)` pairs; `null` and
+    /// absence both stand for "not set".
+    fn random_spec_fields(
+        rng: &mut gc_graph::rng::SplitMix64,
+        graph: bool,
+    ) -> Vec<(String, String)> {
+        let mut fields = Vec::new();
+        let mut put =
+            |rng: &mut gc_graph::rng::SplitMix64, key: &str, value: String| match rng.below(4) {
+                0 => {}
+                1 => fields.push((key.to_string(), "null".into())),
+                _ => fields.push((key.to_string(), value)),
+            };
+        for key in [
+            "tenant",
+            "dataset",
+            "scale",
+            "algorithm",
+            "partition",
+            "device",
+        ] {
+            let v = format!(r#""{key}-\u00e9-{}""#, rng.below(100));
+            put(rng, key, v);
+        }
+        for key in ["optimized", "frontier", "no_overlap"] {
+            let v = ["true", "false"][rng.below(2)].to_string();
+            put(rng, key, v);
+        }
+        let ints = [
+            "devices",
+            "wg",
+            "chunk",
+            "hybrid_threshold",
+            "link_latency",
+            "link_bandwidth",
+            "seed",
+        ];
+        for key in ints {
+            let v = rng.below(1 << 40).to_string();
+            put(rng, key, v);
+        }
+        if graph {
+            let n = 24 + rng.below(104);
+            let g = gc_graph::generators::erdos_renyi(n, n * (1 + rng.below(3)), rng.next_u64());
+            let list = |xs: &[u32]| format!("{xs:?}");
+            fields.push(("row_ptr".into(), list(g.row_ptr())));
+            fields.push(("col_idx".into(), list(g.col_idx())));
+        }
+        fields
+    }
+
+    #[test]
+    fn from_json_matches_the_derive_on_seeded_bodies() {
+        let mut rng = gc_graph::rng::SplitMix64::seed_from_u64(33);
+        for case in 0..300 {
+            let fields = random_spec_fields(&mut rng, case % 3 != 2);
+            let body = scramble(&mut rng, fields);
+            same_spec(&body);
+
+            let pairs = |rng: &mut gc_graph::rng::SplitMix64| {
+                let list: Vec<String> = (0..rng.below(4))
+                    .map(|_| format!("[{},{}]", rng.below(1 << 20), rng.below(1 << 20)))
+                    .collect();
+                format!("[{}]", list.join(","))
+            };
+            let mut fields = vec![
+                ("insert".to_string(), pairs(&mut rng)),
+                ("delete".to_string(), pairs(&mut rng)),
+            ];
+            let job_fields = random_spec_fields(&mut rng, false);
+            fields.push(("job".into(), scramble(&mut rng, job_fields)));
+            let keep = rng.below(fields.len() + 1);
+            fields.truncate(keep);
+            let body = scramble(&mut rng, fields);
+            same_mutation(&body);
+        }
+    }
+
+    #[test]
+    fn serialized_specs_read_back_unchanged() {
+        let mut rng = gc_graph::rng::SplitMix64::seed_from_u64(7);
+        for _ in 0..50 {
+            let fields = random_spec_fields(&mut rng, true);
+            let body = scramble(&mut rng, fields);
+            let spec = JobSpec::from_json(body.as_bytes()).unwrap();
+            let json = serde_json::to_string(&spec).unwrap();
+            let back = JobSpec::from_json(json.as_bytes()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{spec:?}"), "{json}");
+            let m = MutationRequest {
+                insert: vec![(rng.below(1000) as u32, 4_000_000_000)],
+                delete: Vec::new(),
+                job: spec,
+            };
+            let json = serde_json::to_string(&m).unwrap();
+            let back = MutationRequest::from_json(json.as_bytes()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{m:?}"), "{json}");
+        }
     }
 }

@@ -161,13 +161,34 @@ fn finished_jobs_serve_the_bytes_of_their_wait_response() {
     // The same submissions in process get the same ids, so `wait` and
     // `status` must render the same envelopes byte for byte.
     let mut server = Server::new(test_config()).expect("server builds");
-    let spec: JobSpec = serde_json::from_str(SQUARE).unwrap();
+    let spec = JobSpec::from_json(SQUARE.as_bytes()).unwrap();
     for body in [&miss, &hit] {
         let id = server.submit(&spec).unwrap();
         assert_eq!(server.wait(id).as_ref(), Some(body));
         assert_eq!(server.status(id), Some(("done", Some(body.clone()))));
     }
     server.shutdown();
+}
+
+/// A body of 100,000 open brackets is refused by both JSON endpoints
+/// without recursing, and the server keeps serving.
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_server_lives_on() {
+    let (addr, handle) = start(test_config());
+    let deep = "[".repeat(100_000);
+    for path in ["/jobs?wait=1", "/graphs/00000000000000ff/edges"] {
+        let (status, body) = request(&addr, "POST", path, Some(&deep)).expect("an answer");
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.starts_with("{\"error\":\"bad "), "{path}: {body}");
+    }
+    let nested_key = format!(r#"{{"x":{deep}"#);
+    let (status, body) = request(&addr, "POST", "/jobs", Some(&nested_key)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, _) = request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(submit_wait(&addr, SQUARE).contains("\"status\":\"done\""));
+    stop(&addr, handle);
 }
 
 /// Eight waiting connections hold eight handlers; the ninth connection
