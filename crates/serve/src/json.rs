@@ -413,11 +413,7 @@ impl<'a> Reader<'a> {
             .take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
             .count();
         let text = &rest[..len];
-        // Plain integers (most numbers in a report) need no float parse.
-        let digits = &text[usize::from(text[0] == b'-')..];
-        let valid = (!digits.is_empty() && digits.iter().all(u8::is_ascii_digit))
-            || std::str::from_utf8(text).is_ok_and(|t| t.parse::<f64>().is_ok());
-        if !valid {
+        if !std::str::from_utf8(text).is_ok_and(|t| t.parse::<f64>().is_ok()) {
             let text = String::from_utf8_lossy(text);
             return Err(self.error(&format!("invalid number '{text}'")));
         }
@@ -432,6 +428,27 @@ pub fn report_colors(report: &str) -> Result<Vec<u32>, String> {
     let mut r = Reader::new(report.as_bytes());
     r.seek("colors")?;
     r.array(Reader::uint)
+}
+
+/// The keys of a top-level object, in document order.
+#[cfg(test)]
+pub fn object_keys(text: &str) -> Result<Vec<String>, String> {
+    let mut r = Reader::new(text.as_bytes());
+    r.expect(b'{')?;
+    let mut keys = Vec::new();
+    if !r.eat(b'}') {
+        loop {
+            keys.push(r.string()?);
+            r.expect(b':')?;
+            r.skip()?;
+            if !r.eat(b',') {
+                r.expect(b'}')?;
+                break;
+            }
+        }
+    }
+    r.end()?;
+    Ok(keys)
 }
 
 #[cfg(test)]

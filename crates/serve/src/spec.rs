@@ -920,4 +920,17 @@ mod tests {
             assert_eq!(format!("{back:?}"), format!("{m:?}"), "{json}");
         }
     }
+
+    /// `Serialize` writes every struct field, so a field missing from a
+    /// table (which `from_json` would skip as unknown) fails here.
+    #[test]
+    fn field_tables_name_every_struct_field_in_order() {
+        let keys = |json: String| crate::json::object_keys(&json).unwrap();
+        let spec_keys = keys(serde_json::to_string(&JobSpec::default()).unwrap());
+        let table: Vec<_> = JobSpec::FIELDS.iter().map(|f| f.0).collect();
+        assert_eq!(spec_keys, table);
+        let m_keys = keys(serde_json::to_string(&MutationRequest::default()).unwrap());
+        let table: Vec<_> = MutationRequest::FIELDS.iter().map(|f| f.0).collect();
+        assert_eq!(m_keys, table);
+    }
 }
