@@ -226,6 +226,16 @@ impl CsrGraph {
 
     /// Check all invariants.
     pub fn validate(&self) -> Result<(), GraphError> {
+        self.validate_rows()?;
+        if self.rows_mirror_each_other() {
+            return Ok(());
+        }
+        self.find_missing_reverse()
+    }
+
+    /// Every invariant but symmetry: the shape of `row_ptr`, neighbors in
+    /// range, no self loops, strictly sorted rows.
+    fn validate_rows(&self) -> Result<(), GraphError> {
         if self.row_ptr.is_empty() {
             return Err(GraphError::BadRowPtr("row_ptr must not be empty".into()));
         }
@@ -267,8 +277,35 @@ impl CsrGraph {
                 }
             }
         }
-        // Symmetry: every arc has its reverse.
-        for u in 0..n as VertexId {
+        Ok(())
+    }
+
+    /// Symmetry in one pass over rows that [`Self::validate_rows`]
+    /// accepted. Sources are visited in ascending order, so in a symmetric
+    /// graph the arcs into `v` arrive in the order row `v` lists them: one
+    /// cursor per row, advanced on each match, finds every reverse in
+    /// O(1). Every arc advances one cursor within its own row, and there
+    /// are as many arcs as row entries, so a pass without a mismatch
+    /// leaves every cursor at the end of its row.
+    fn rows_mirror_each_other(&self) -> bool {
+        let mut cursor = self.row_ptr[..self.num_vertices()].to_vec();
+        for u in self.vertices() {
+            for &v in self.neighbors(u) {
+                let v = v as usize;
+                let c = cursor[v];
+                if c == self.row_ptr[v + 1] || self.col_idx[c as usize] != u {
+                    return false;
+                }
+                cursor[v] = c + 1;
+            }
+        }
+        true
+    }
+
+    /// Symmetry by binary search, naming the first arc `(u, v)` in
+    /// `(u, v)` order whose reverse is missing.
+    fn find_missing_reverse(&self) -> Result<(), GraphError> {
+        for u in self.vertices() {
             for &v in self.neighbors(u) {
                 if !self.has_edge(v, u) {
                     return Err(GraphError::Asymmetric { from: u, to: v });
@@ -412,6 +449,73 @@ mod tests {
                 neighbor: 5
             }
         );
+    }
+
+    /// Rebuild `g`'s arrays with row `u` replaced by `edit` of it.
+    fn with_row(g: &CsrGraph, u: usize, edit: impl FnOnce(&mut Vec<VertexId>)) -> CsrGraph {
+        let mut rows: Vec<Vec<VertexId>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+        edit(&mut rows[u]);
+        let mut row_ptr = vec![0u32];
+        for row in &rows {
+            row_ptr.push(row_ptr.last().unwrap() + row.len() as u32);
+        }
+        CsrGraph {
+            row_ptr,
+            col_idx: rows.concat(),
+            memo: OnceLock::new(),
+        }
+    }
+
+    #[test]
+    fn one_pass_symmetry_check_returns_what_the_scan_returns() {
+        use crate::rng::SplitMix64;
+        let by_scan = |g: &CsrGraph| g.validate_rows().and_then(|()| g.find_missing_reverse());
+        let mut rng = SplitMix64::seed_from_u64(7);
+        let mut asymmetric = 0;
+        for seed in 0..300 {
+            let n = 2 + rng.below(30);
+            let m = rng.below(n * (n - 1) / 2 + 1);
+            let g = crate::generators::erdos_renyi(n, m, seed);
+            assert_eq!(g.validate(), Ok(()));
+            let u = rng.below(n);
+            let mut forged = Vec::new();
+            if g.degree(u as VertexId) > 0 {
+                // One arc dropped.
+                let at = rng.below(g.degree(u as VertexId));
+                forged.push(with_row(&g, u, |row| {
+                    row.remove(at);
+                }));
+            }
+            // One arc added, at its sorted place.
+            let w = rng.below(n) as VertexId;
+            if w as usize != u && !g.has_edge(u as VertexId, w) {
+                forged.push(with_row(&g, u, |row| {
+                    let at = row.partition_point(|&x| x < w);
+                    row.insert(at, w);
+                }));
+            }
+            // An unmatched extra entry at the end of a row: unsorted, a
+            // duplicate, a self loop or out of range as it falls.
+            let extra = rng.below(n + 1) as VertexId;
+            forged.push(with_row(&g, u, |row| row.push(extra)));
+            // Two targets swapped, within a row or across rows.
+            if g.num_arcs() > 1 {
+                let (i, j) = (rng.below(g.num_arcs()), rng.below(g.num_arcs()));
+                let mut col_idx = g.col_idx.clone();
+                col_idx.swap(i, j);
+                forged.push(CsrGraph {
+                    row_ptr: g.row_ptr.clone(),
+                    col_idx,
+                    memo: OnceLock::new(),
+                });
+            }
+            for f in &forged {
+                let got = f.validate();
+                assert_eq!(got, by_scan(f), "{f:?}");
+                asymmetric += usize::from(matches!(got, Err(GraphError::Asymmetric { .. })));
+            }
+        }
+        assert!(asymmetric > 300, "only {asymmetric} asymmetric forgeries");
     }
 
     #[test]

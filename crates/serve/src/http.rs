@@ -2,8 +2,9 @@
 //! the job API: request-line + headers + `Content-Length` bodies, one
 //! request per connection (`Connection: close` semantics). No external
 //! runtime: the container this repo builds in has no async stack, so each
-//! connection is served start to finish by one blocking handler thread
-//! (reused across connections, see `Server::serve`), and the "async" part
+//! connection is served start to finish by the blocking handler thread
+//! that accepted it (reused across connections, see `Server::serve`),
+//! under a read and write timeout, and the "async" part
 //! of gc-serve is the job lifecycle (submit → id → poll/wait), not the
 //! socket handling. Each side sends a message in one write.
 //!

@@ -21,13 +21,24 @@
 //! ```json
 //! {"job_id":7,"tenant":"a","status":"done","cached":true,"report":{...}}
 //! ```
+//!
+//! Connections (see [`Server::serve`]): every connection-handler thread
+//! accepts from the shared listener and serves the connection it accepted
+//! on the same thread, so a request wakes one thread, not an accept thread
+//! and then a handler. A handler that accepts while no other handler is
+//! idle first starts one more, so one is always waiting in `accept`; the
+//! pool grows to the peak number of connections in flight and is exported
+//! as the `gc_serve_handler_threads` gauge. Every accepted stream reads
+//! and writes under a 30 s timeout, so a silent client holds its handler
+//! for at most that long.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gc_core::RunReport;
 use gc_gpusim::{Histogram, MetricsRegistry};
@@ -146,6 +157,10 @@ struct Shared {
     cfg: ServerConfig,
     queue: Mutex<QueueState>,
     work: Condvar,
+    /// Signalled with `work` by `begin_shutdown`, on the `queue` lock:
+    /// what `serve`'s own thread waits on, so it never takes a wake-up
+    /// meant for a worker.
+    stopped: Condvar,
     jobs: Mutex<BTreeMap<u64, JobState>>,
     done: Condvar,
     next_id: AtomicU64,
@@ -156,7 +171,30 @@ struct Shared {
     graphs: Mutex<BTreeMap<u64, GraphEntry>>,
     slots: SlotGate,
     metrics: Mutex<Metrics>,
+    handlers: Mutex<Handlers>,
 }
+
+/// The connection-handler threads of [`Server::serve`]: `live` ones run,
+/// and `idle` ones of those are not serving a connection (they wait in
+/// `accept` or are on their way back to it).
+#[derive(Default)]
+struct Handlers {
+    live: usize,
+    idle: usize,
+}
+
+/// What the connection handlers of one [`Server::serve`] call share.
+struct Acceptor {
+    listener: TcpListener,
+    /// Where an exiting handler connects to wake a peer blocked in
+    /// `accept`.
+    addr: SocketAddr,
+    /// The first `accept` error, which ends `serve`.
+    error: Mutex<Option<String>>,
+}
+
+/// Read and write timeout of every accepted connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Counting gate over the server's device slots: a device job holds one
 /// slot while it runs, so at most `slots` device jobs run at once.
@@ -242,12 +280,14 @@ impl Server {
                 shutdown: false,
             }),
             work: Condvar::new(),
+            stopped: Condvar::new(),
             jobs: Mutex::new(BTreeMap::new()),
             done: Condvar::new(),
             next_id: AtomicU64::new(0),
             graphs: Mutex::new(BTreeMap::new()),
             slots: SlotGate::new(cfg.devices.max(1)),
             metrics: Mutex::new(Metrics::default()),
+            handlers: Mutex::new(Handlers::default()),
             cfg,
         });
         let workers = (0..shared.cfg.workers)
@@ -323,42 +363,39 @@ impl Server {
     /// Serve HTTP on `listener` until `POST /shutdown`, then drain and
     /// join the workers. Consumes the server.
     ///
-    /// Connection handlers are persistent threads that pop accepted
-    /// streams from one channel; a new handler starts only when none is
-    /// idle. Handlers exit once the channel's sender is dropped here. They
-    /// are not joined: sockets have no timeout, so one blocked reading a
-    /// silent client would keep `serve` from returning.
+    /// Connection handlers are persistent threads, each of which accepts a
+    /// connection from `listener` and serves it itself. A handler that
+    /// accepts while no other handler is idle first starts one more, so a
+    /// handler is always waiting in `accept`. Every accepted stream gets a
+    /// 30 s read and write timeout. A panic while a connection is served
+    /// ends that connection only.
+    ///
+    /// This thread handles no connection: it waits for the shutdown flag,
+    /// so it returns once `/shutdown` has been answered and the workers
+    /// have drained, whatever other connections are doing. Handlers check
+    /// the flag before and after `accept`, and every handler that exits
+    /// connects to the listener once, which wakes the next handler blocked
+    /// in `accept`; so shutdown reaches the idle ones, and the last to
+    /// exit closes the listening socket. Handlers are not joined: one
+    /// reading a slow client exits when its read ends, within the timeout.
+    /// An `accept` error shuts the server down and is returned.
     pub fn serve(mut self, listener: TcpListener) -> Result<(), String> {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
-        let (conns, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let idle = Arc::new(AtomicUsize::new(0));
-        loop {
-            let (stream, _) = match listener.accept() {
-                Ok(x) => x,
-                Err(e) => return Err(format!("accept: {e}")),
-            };
-            if self.shared.queue.lock().unwrap().shutdown {
-                // Woken by the shutdown handler's self-connect (or a
-                // straggler); stop accepting.
-                break;
-            }
-            let claimed = idle
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok();
-            if !claimed {
-                let (sh, rx, idle) = (Arc::clone(&self.shared), Arc::clone(&rx), Arc::clone(&idle));
-                std::thread::spawn(move || handle_conns(&sh, &rx, &idle, addr));
-            }
-            conns
-                .send(stream)
-                .expect("the receiver lives until serve returns");
-        }
-        drop(conns);
+        let acceptor = Arc::new(Acceptor {
+            listener,
+            addr,
+            error: Mutex::new(None),
+        });
+        *self.shared.handlers() = Handlers { live: 1, idle: 1 };
+        spawn_handler(&self.shared, &acceptor)
+            .map_err(|e| format!("start a connection handler: {e}"))?;
+        let q = self.shared.queue.lock().unwrap();
+        drop(self.shared.stopped.wait_while(q, |q| !q.shutdown).unwrap());
         self.shutdown();
-        Ok(())
+        let error = acceptor.error.lock().unwrap().take();
+        error.map_or(Ok(()), Err)
     }
 }
 
@@ -648,6 +685,38 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.queue.lock().unwrap().shutdown = true;
         self.work.notify_all();
+        self.stopped.notify_all();
+    }
+
+    fn stopping(&self) -> bool {
+        self.queue.lock().unwrap().shutdown
+    }
+
+    /// Every update of the counts is a single step, so they are still
+    /// right after a panic has poisoned the lock.
+    fn handlers(&self) -> MutexGuard<'_, Handlers> {
+        self.handlers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count an idle handler busy, as it starts serving a connection.
+    /// True when it was the last idle one: the count then holds one more
+    /// live, idle handler, which the caller starts.
+    fn claim_handler(&self) -> bool {
+        let mut h = self.handlers();
+        if h.idle == 1 {
+            h.live += 1;
+            true
+        } else {
+            h.idle -= 1;
+            false
+        }
+    }
+
+    /// Uncount an idle handler that exits (or never started).
+    fn retire_handler(&self) {
+        let mut h = self.handlers();
+        h.live -= 1;
+        h.idle -= 1;
     }
 
     fn metrics_text(&self) -> String {
@@ -728,6 +797,12 @@ impl Shared {
             &[],
             self.slots.in_use() as f64,
         );
+        reg.set_gauge(
+            "gc_serve_handler_threads",
+            "Connection-handler threads alive (the peak number of connections in flight, plus one)",
+            &[],
+            self.handlers().live as f64,
+        );
         reg.render_prometheus()
     }
 }
@@ -749,49 +824,91 @@ fn envelope(id: u64, tenant: &str, fingerprint: u64, cached: bool, report: &str)
     )
 }
 
-/// A connection handler thread: serve connections popped from `conns`
-/// until its sender is dropped. The handler counts itself idle *before* it
-/// closes each connection, so a client that reads to EOF and then
-/// reconnects finds it idle and is not given a new thread.
-fn handle_conns(
-    shared: &Shared,
-    conns: &Mutex<Receiver<TcpStream>>,
-    idle: &AtomicUsize,
-    addr: SocketAddr,
-) {
-    loop {
-        let next = conns
-            .lock()
-            .expect("no handler panics while holding the receiver")
-            .recv();
-        let Ok(mut stream) = next else { return };
-        handle_conn(shared, &mut stream, addr);
-        idle.fetch_add(1, Ordering::SeqCst);
-        drop(stream);
+/// Start a connection handler that the caller has already counted live
+/// and idle.
+fn spawn_handler(shared: &Arc<Shared>, acceptor: &Arc<Acceptor>) -> io::Result<()> {
+    let (sh, acc) = (Arc::clone(shared), Arc::clone(acceptor));
+    let spawned = std::thread::Builder::new().spawn(move || handle_conns(&sh, &acc));
+    if spawned.is_err() {
+        shared.retire_handler();
     }
+    spawned.map(drop)
 }
 
-fn handle_conn(shared: &Shared, stream: &mut TcpStream, addr: SocketAddr) {
-    let req = match read_request(stream) {
-        Ok(req) => req,
-        // A connection that closes without sending a request line is the
-        // shutdown handler's self-connect wake: nothing to answer.
-        Err(e) if e == "empty request line" => return,
-        // Anything else sent bytes that are not HTTP; answer with a
-        // structured 400 instead of silently dropping the connection.
+/// Accept one connection and give it the server's socket timeouts.
+fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    Ok(stream)
+}
+
+/// A connection handler thread: accept a connection, serve it, repeat
+/// until shutdown.
+///
+/// The handler counts itself idle *before* it writes the response, so a
+/// client that reads the response and reconnects at once finds a handler
+/// idle and is not given a new thread. A handler writing to a client that
+/// does not read is then counted idle while it cannot accept, for at most
+/// the write timeout.
+fn handle_conns(shared: &Arc<Shared>, acceptor: &Arc<Acceptor>) {
+    while !shared.stopping() {
+        let accepted = accept(&acceptor.listener);
+        if shared.stopping() {
+            // Woken for shutdown: by an exiting peer, or a late client.
+            break;
+        }
+        let mut stream = match accepted {
+            Ok(stream) => stream,
+            Err(e) => {
+                let first = format!("accept: {e}");
+                acceptor.error.lock().unwrap().get_or_insert(first);
+                shared.begin_shutdown();
+                break;
+            }
+        };
+        if shared.claim_handler() {
+            if let Err(e) = spawn_handler(shared, acceptor) {
+                eprintln!("gc-serve: cannot start a connection handler: {e}");
+            }
+        }
+        // A panic drops this connection unanswered; the default hook has
+        // printed it.
+        let response = panic::catch_unwind(AssertUnwindSafe(|| respond(shared, &mut stream)));
+        shared.handlers().idle += 1;
+        if let Ok(Some((status, content_type, body, shuts_down))) = response {
+            let _ = write_response(&mut stream, status, content_type, body.as_bytes());
+            if shuts_down {
+                // Only after the response is on the wire: stop admissions.
+                // This handler then exits and wakes the others.
+                shared.begin_shutdown();
+            }
+        }
+    }
+    shared.retire_handler();
+    // Wake the next handler blocked in `accept`, which does the same.
+    let _ = TcpStream::connect(acceptor.addr);
+}
+
+/// Read one request and route it: the response to write, if any, and
+/// whether it answers `POST /shutdown`.
+fn respond(shared: &Shared, stream: &mut TcpStream) -> Option<(u16, &'static str, String, bool)> {
+    match read_request(stream) {
+        Ok(req) => {
+            let (status, content_type, body) = route(shared, &req);
+            let shuts_down = req.method == "POST" && req.path == "/shutdown";
+            Some((status, content_type, body, shuts_down))
+        }
+        // A client that closed without sending a request line: nothing
+        // to answer.
+        Err(e) if e == "empty request line" => None,
+        // Anything else sent bytes that are not HTTP (or went silent past
+        // the read timeout); answer with a structured 400 instead of
+        // silently dropping the connection.
         Err(e) => {
             let body = error_body(&format!("bad request: {e}"));
-            let _ = write_response(stream, 400, "application/json", body.as_bytes());
-            return;
+            Some((400, "application/json", body, false))
         }
-    };
-    let (status, content_type, body) = route(shared, &req);
-    let _ = write_response(stream, status, content_type, body.as_bytes());
-    if req.method == "POST" && req.path == "/shutdown" {
-        // Only after the response is on the wire: stop admissions, then
-        // self-connect so the accept loop observes the flag.
-        shared.begin_shutdown();
-        let _ = TcpStream::connect(addr);
     }
 }
 
@@ -856,7 +973,7 @@ fn route(shared: &Shared, req: &Request) -> (u16, &'static str, String) {
         }
         ("GET", "/metrics") => (200, "text/plain; version=0.0.4", shared.metrics_text()),
         ("GET", "/healthz") => (200, JSON, "{\"ok\":true}".into()),
-        // Side effects happen in handle_conn after the response is written.
+        // Side effects happen in handle_conns after the response is written.
         ("POST", "/shutdown") => (200, JSON, "{\"ok\":true}".into()),
         // Known paths with the wrong method get a structured 405, not the
         // generic unknown-endpoint 404.
@@ -1351,6 +1468,44 @@ mod tests {
         assert_eq!(*done.lock().unwrap(), 8);
         assert!(*max_held.lock().unwrap() <= 2);
         assert_eq!(gate.in_use(), 0);
+    }
+
+    #[test]
+    fn accepted_streams_time_out_reads_and_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let stream = accept(&listener).unwrap();
+        assert_eq!(stream.read_timeout().unwrap(), Some(IO_TIMEOUT));
+        assert_eq!(stream.write_timeout().unwrap(), Some(IO_TIMEOUT));
+    }
+
+    #[test]
+    fn a_panic_while_serving_ends_only_its_connection() {
+        use crate::http::request;
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..test_config()
+        })
+        .unwrap();
+        // Poison the jobs map: `GET /jobs/<id>` then panics in its handler.
+        let shared = Arc::clone(&server.shared);
+        let poisoned = std::thread::spawn(move || {
+            let _jobs = shared.jobs.lock().unwrap();
+            panic!("poison the jobs lock");
+        })
+        .join();
+        assert!(poisoned.is_err());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let serving = std::thread::spawn(move || server.serve(listener));
+        for _ in 0..3 {
+            assert!(request(&addr, "GET", "/jobs/1", None).is_err());
+            assert_eq!(request(&addr, "GET", "/healthz", None).unwrap().0, 200);
+        }
+        let (_, metrics) = request(&addr, "GET", "/metrics", None).unwrap();
+        assert!(metrics.contains("gc_serve_handler_threads 2"), "{metrics}");
+        assert_eq!(request(&addr, "POST", "/shutdown", None).unwrap().0, 200);
+        serving.join().unwrap().unwrap();
     }
 
     #[test]

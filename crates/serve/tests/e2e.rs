@@ -240,6 +240,114 @@ fn concurrent_waits_do_not_block_new_connections() {
     stop(&addr, handle);
 }
 
+/// The `gc_serve_handler_threads` gauge from `/metrics`.
+fn handler_threads(addr: &str) -> u64 {
+    let (status, metrics) = request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200, "{metrics}");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("gc_serve_handler_threads "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no handler gauge: {metrics}"))
+}
+
+/// Eight clients each submit a road-net job at `scale` and wait for it on
+/// the server's one worker, after `before` jobs. Returns their threads
+/// once job `before + 8` exists, that is, once all eight have been
+/// submitted.
+fn eight_waiters(addr: &str, scale: &str, before: u64) -> Vec<JoinHandle<String>> {
+    let waiters = (1..=8)
+        .map(|seed| {
+            let addr = addr.to_string();
+            let body = format!(
+                r#"{{"tenant":"t","dataset":"road-net","scale":"{scale}","algorithm":"maxmin","seed":{seed}}}"#
+            );
+            std::thread::spawn(move || submit_wait(&addr, &body))
+        })
+        .collect();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let last = format!("/jobs/{}", before + 8);
+    while request(addr, "GET", &last, None).unwrap().0 != 200 {
+        assert!(std::time::Instant::now() < deadline, "{last} never arrived");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    waiters
+}
+
+fn one_worker() -> ServerConfig {
+    ServerConfig {
+        devices: 1,
+        workers: 1,
+        ..test_config()
+    }
+}
+
+/// A sequential client never grows the handler pool past the handler
+/// serving it plus the one waiting in `accept`; eight waiting clients grow
+/// it past eight.
+#[test]
+fn the_handler_gauge_counts_connections_in_flight() {
+    let (addr, handle) = start(one_worker());
+    for _ in 0..50 {
+        assert!(submit_wait(&addr, SQUARE).contains("\"status\":\"done\""));
+    }
+    let sequential = handler_threads(&addr);
+    assert!(
+        sequential <= 2,
+        "{sequential} handlers after sequential requests"
+    );
+
+    let waiters = eight_waiters(&addr, "small", 50);
+    let during = handler_threads(&addr);
+    let pending = (51..=58)
+        .filter(|&id| !get_job(&addr, id).contains("\"status\":\"done\""))
+        .count();
+    assert!(pending > 0, "all eight finished before the gauge was read");
+    assert!(during >= 9, "{during} handlers with eight waits pending");
+    for waiter in waiters {
+        assert!(waiter.join().unwrap().contains("\"cached\":false"));
+    }
+    stop(&addr, handle);
+}
+
+/// After `stop`, every handler has exited, idle ones included, and the
+/// last one closed the listening socket: the port can be bound again and
+/// connecting is refused.
+#[test]
+fn shutdown_ends_every_handler_and_releases_the_port() {
+    for cycle in 0..20 {
+        let (addr, handle) = start(one_worker());
+        assert!(submit_wait(&addr, SQUARE).contains("\"status\":\"done\""));
+        let waiters = eight_waiters(&addr, "tiny", 1);
+        for waiter in waiters {
+            assert!(waiter.join().unwrap().contains("\"status\":\"done\""));
+        }
+        let handlers = handler_threads(&addr);
+        assert!(
+            handlers > 2,
+            "cycle {cycle}: the pool never grew ({handlers})"
+        );
+        stop(&addr, handle);
+        // Probe with `bind`, which wakes no handler blocked in `accept` (a
+        // connect would): it succeeds once the last handler has dropped
+        // the listener.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while let Err(e) = TcpListener::bind(&addr) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "cycle {cycle}: {addr} still bound 1 s after stop: {e}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let refused = std::net::TcpStream::connect(&addr).unwrap_err();
+        assert_eq!(
+            refused.kind(),
+            std::io::ErrorKind::ConnectionRefused,
+            "cycle {cycle}: {refused}"
+        );
+    }
+}
+
 #[test]
 fn completed_jobs_append_to_the_run_ledger_once() {
     let path = std::env::temp_dir().join(format!("gc-serve-e2e-{}.jsonl", std::process::id()));
