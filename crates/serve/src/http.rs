@@ -92,14 +92,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     })
 }
 
-/// Write a response with the given status and body, closing semantics.
-/// Head and body go out in one write, so a small response is one segment.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> Result<(), String> {
+/// The bytes of a response with the given status and body, closing
+/// semantics: head and body in one buffer, so that a small response goes
+/// out in one write, as one segment.
+pub fn response_bytes(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
     let reason = match status {
         200 => "OK",
         202 => "Accepted",
@@ -115,9 +111,7 @@ pub fn write_response(
     )
     .into_bytes();
     msg.extend_from_slice(body);
-    stream
-        .write_all(&msg)
-        .map_err(|e| format!("write response: {e}"))
+    msg
 }
 
 /// Blocking client request (the load generator and `shutdown` use this).
@@ -202,7 +196,8 @@ mod tests {
             assert_eq!(req.query_param("wait"), Some("1"));
             assert_eq!(req.query_param("missing"), None);
             assert_eq!(req.body, b"{\"x\":1}");
-            write_response(&mut stream, 200, "application/json", b"{\"ok\":true}").unwrap();
+            let msg = response_bytes(200, "application/json", b"{\"ok\":true}");
+            stream.write_all(&msg).unwrap();
         });
         let (status, body) =
             request(&addr.to_string(), "POST", "/jobs?wait=1", Some("{\"x\":1}")).unwrap();
@@ -221,7 +216,9 @@ mod tests {
             assert_eq!(req.method, "GET");
             assert_eq!(req.path, "/metrics");
             assert!(req.body.is_empty());
-            write_response(&mut stream, 404, "text/plain", b"nope").unwrap();
+            stream
+                .write_all(&response_bytes(404, "text/plain", b"nope"))
+                .unwrap();
         });
         let (status, body) = request(&addr.to_string(), "GET", "/metrics", None).unwrap();
         assert_eq!(status, 404);

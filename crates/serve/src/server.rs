@@ -26,14 +26,15 @@
 //! accepts from the shared listener and serves the connection it accepted
 //! on the same thread, so a request wakes one thread, not an accept thread
 //! and then a handler. A handler that accepts while no other handler is
-//! idle first starts one more, so one is always waiting in `accept`; the
-//! pool grows to the peak number of connections in flight and is exported
-//! as the `gc_serve_handler_threads` gauge. Every accepted stream reads
-//! and writes under a 30 s timeout, so a silent client holds its handler
-//! for at most that long.
+//! idle first starts one more, so one is always waiting in `accept`; a
+//! handler whose response write would block (a client that does not read)
+//! counts itself busy the same way. The pool grows to the peak number of
+//! connections in flight and is exported as the `gc_serve_handler_threads`
+//! gauge. Every accepted stream reads and writes under a 30 s timeout, so
+//! a silent client holds its handler for at most that long.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +46,7 @@ use gc_gpusim::{Histogram, MetricsRegistry};
 use gc_graph::CsrGraph;
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::http::{read_request, write_response, Request};
+use crate::http::{read_request, response_bytes, Request};
 use crate::json;
 use crate::queue::DrrQueue;
 use crate::spec::{self, JobSpec, MutationRequest, ResolvedJob};
@@ -366,9 +367,11 @@ impl Server {
     /// Connection handlers are persistent threads, each of which accepts a
     /// connection from `listener` and serves it itself. A handler that
     /// accepts while no other handler is idle first starts one more, so a
-    /// handler is always waiting in `accept`. Every accepted stream gets a
-    /// 30 s read and write timeout. A panic while a connection is served
-    /// ends that connection only.
+    /// handler is always waiting in `accept`. A handler counts itself idle
+    /// once it starts writing its response, and busy again (starting one
+    /// more handler if need be) if that write would block. Every accepted
+    /// stream gets a 30 s read and write timeout. A panic while a
+    /// connection is served ends that connection only.
     ///
     /// This thread handles no connection: it waits for the shutdown flag,
     /// so it returns once `/shutdown` has been answered and the workers
@@ -698,9 +701,10 @@ impl Shared {
         self.handlers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Count an idle handler busy, as it starts serving a connection.
-    /// True when it was the last idle one: the count then holds one more
-    /// live, idle handler, which the caller starts.
+    /// Count an idle handler busy: one that starts serving a connection,
+    /// or whose response write would block. True when it was the last idle
+    /// one: the count then holds one more live, idle handler, which the
+    /// caller starts.
     fn claim_handler(&self) -> bool {
         let mut h = self.handlers();
         if h.idle == 1 {
@@ -845,12 +849,6 @@ fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
 
 /// A connection handler thread: accept a connection, serve it, repeat
 /// until shutdown.
-///
-/// The handler counts itself idle *before* it writes the response, so a
-/// client that reads the response and reconnects at once finds a handler
-/// idle and is not given a new thread. A handler writing to a client that
-/// does not read is then counted idle while it cannot accept, for at most
-/// the write timeout.
 fn handle_conns(shared: &Arc<Shared>, acceptor: &Arc<Acceptor>) {
     while !shared.stopping() {
         let accepted = accept(&acceptor.listener);
@@ -867,27 +865,76 @@ fn handle_conns(shared: &Arc<Shared>, acceptor: &Arc<Acceptor>) {
                 break;
             }
         };
-        if shared.claim_handler() {
-            if let Err(e) = spawn_handler(shared, acceptor) {
-                eprintln!("gc-serve: cannot start a connection handler: {e}");
-            }
-        }
+        claim(shared, acceptor);
         // A panic drops this connection unanswered; the default hook has
         // printed it.
         let response = panic::catch_unwind(AssertUnwindSafe(|| respond(shared, &mut stream)));
-        shared.handlers().idle += 1;
-        if let Ok(Some((status, content_type, body, shuts_down))) = response {
-            let _ = write_response(&mut stream, status, content_type, body.as_bytes());
-            if shuts_down {
-                // Only after the response is on the wire: stop admissions.
-                // This handler then exits and wakes the others.
-                shared.begin_shutdown();
-            }
+        let Ok(Some((status, content_type, body, shuts_down))) = response else {
+            shared.handlers().idle += 1;
+            continue;
+        };
+        let msg = response_bytes(status, content_type, body.as_bytes());
+        write_idle(shared, acceptor, &mut stream, &msg);
+        if shuts_down {
+            // Only after the response is on the wire: stop admissions.
+            // This handler then exits and wakes the others.
+            shared.begin_shutdown();
         }
     }
     shared.retire_handler();
     // Wake the next handler blocked in `accept`, which does the same.
     let _ = TcpStream::connect(acceptor.addr);
+}
+
+/// Count this idle handler busy, and start one more if it was the last
+/// idle one, so that a handler is always waiting in `accept`.
+fn claim(shared: &Arc<Shared>, acceptor: &Arc<Acceptor>) {
+    if shared.claim_handler() {
+        if let Err(e) = spawn_handler(shared, acceptor) {
+            eprintln!("gc-serve: cannot start a connection handler: {e}");
+        }
+    }
+}
+
+/// Write the response `msg`, counting this handler idle again.
+///
+/// The handler counts itself idle *before* the response can reach the
+/// client, so a client that reads it and reconnects at once finds a
+/// handler idle and is not given a new thread. The write is then tried
+/// without blocking. If the socket buffer fills (a client that reads
+/// slowly or not at all), the handler counts itself busy again, with
+/// [`claim`], and finishes the write blocking, under the write timeout.
+/// So a handler that cannot return to `accept` is never counted idle for
+/// longer than a non-blocking write takes.
+fn write_idle(shared: &Arc<Shared>, acceptor: &Arc<Acceptor>, stream: &mut TcpStream, msg: &[u8]) {
+    shared.handlers().idle += 1;
+    let Ok(sent) = write_nonblocking(stream, msg) else {
+        return;
+    };
+    if sent < msg.len() {
+        claim(shared, acceptor);
+        let _ = stream
+            .set_nonblocking(false)
+            .and_then(|()| stream.write_all(&msg[sent..]));
+        shared.handlers().idle += 1;
+    }
+}
+
+/// Write as much of `msg` as the socket takes without blocking, and leave
+/// `stream` non-blocking: the number of bytes written.
+fn write_nonblocking(stream: &mut TcpStream, msg: &[u8]) -> io::Result<usize> {
+    stream.set_nonblocking(true)?;
+    let mut sent = 0;
+    while sent < msg.len() {
+        match stream.write(&msg[sent..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(sent)
 }
 
 /// Read one request and route it: the response to write, if any, and

@@ -348,6 +348,55 @@ fn shutdown_ends_every_handler_and_releases_the_port() {
     }
 }
 
+/// A handler blocked writing a response to a client that does not read it
+/// counts as busy, not idle: silent connections then take only handlers
+/// that were waiting in `accept`, one more starts for each, and `/healthz`
+/// still answers at once instead of after the 30 s read timeout.
+#[test]
+fn a_client_that_does_not_read_holds_no_idle_handler() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let (addr, handle) = start(one_worker());
+    // Four million isolated vertices: an 8 MB report, more than a loopback
+    // socket buffers (4 MB of send buffer at Linux's default limit).
+    let body = format!(
+        r#"{{"tenant":"t","row_ptr":[{}0],"col_idx":[],"algorithm":"seq"}}"#,
+        "0,".repeat(4_000_000)
+    );
+    let mut unread = TcpStream::connect(&addr).unwrap();
+    write!(
+        unread,
+        "POST /jobs?wait=1 HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    drop(body);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, metrics) = request(&addr, "GET", "/metrics", None).unwrap();
+        if metrics.contains("\ngc_serve_cache_entries 1\n") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the job never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Give its handler time to fill the socket buffer and block.
+    std::thread::sleep(Duration::from_millis(200));
+    let silent: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    let t0 = Instant::now();
+    let (status, _) = request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "/healthz took {:?}",
+        t0.elapsed()
+    );
+    drop((unread, silent));
+    stop(&addr, handle);
+}
+
 #[test]
 fn completed_jobs_append_to_the_run_ledger_once() {
     let path = std::env::temp_dir().join(format!("gc-serve-e2e-{}.jsonl", std::process::id()));
